@@ -8,9 +8,10 @@ consume the CSV; the aggregate columns are ``sum`` per preset against ``m``.
 """
 
 import argparse
+import csv
+import io
 import sys
 
-from fdmix.analytic import dca_config, fairness_config, throughputs
 from fdmix.cli import SweepSpec, cmd_sweep
 
 
@@ -25,14 +26,16 @@ def main(argv=None) -> int:
         handle.write(csv_text)
     print(f"wrote {args.out}")
 
-    total = args.total_stations
-    print(f"\naggregate packets per slot, {total} stations")
+    rows = {}
+    for row in csv.DictReader(io.StringIO(csv_text)):
+        rows.setdefault(row["preset"], []).append(row)
+    print(f"\naggregate packets per slot, {args.total_stations} stations")
     print(f"{'m':>3} {'n':>3} {'uniform':>10} {'fairness':>10}")
-    for m in range(total + 1):
-        n = total - m
-        dca_sum = throughputs(dca_config(m, n)).sum
-        fair_sum = throughputs(fairness_config(m, n)).sum
-        print(f"{m:>3} {n:>3} {dca_sum:>10.6f} {fair_sum:>10.6f}")
+    for dca, fair in zip(rows["dca"], rows["fair"]):
+        print(
+            f"{dca['m']:>3} {dca['n']:>3} "
+            f"{float(dca['sum']):>10.6f} {float(fair['sum']):>10.6f}"
+        )
     return 0
 
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Full-length theory-versus-simulation validation across configurations.
 
-Runs the slot simulator at full length (10^6 slots by default) for a set of
+Runs ``fdmix validate`` at full length (10^6 slots by default) for a set of
 representative networks and several seeds, and prints every flow's z score.
 This is the long-form companion of the quick control test in the suite.
 
@@ -14,9 +14,9 @@ does not apply.  All its other flows should pass.
 import argparse
 import sys
 
-from fdmix.analytic import NetworkConfig, dca_config, fairness_config, throughputs
-from fdmix.simulator import run
-from fdmix.stats import NOT_APPLICABLE, compare
+from fdmix.analytic import NetworkConfig, dca_config, fairness_config
+from fdmix.cli import Scenario, cmd_validate
+from fdmix.stats import NOT_APPLICABLE, PASS
 
 CASES = [
     ("dca(2,2)", dca_config(2, 2)),
@@ -37,22 +37,21 @@ def main(argv=None) -> int:
     width = max(len(name) for name, _ in CASES)
     failures = 0
     for name, config in CASES:
-        theory = throughputs(config)
         for seed in range(args.seeds):
-            stats = run(config, args.slots, seed=seed)
-            result = compare(theory, stats, config, z_max=args.z_max)
+            scenario = Scenario(config=config, slots=args.slots, seed=seed)
+            payload, code = cmd_validate(scenario, args.z_max)
             cells = []
-            for flow in result.flows:
-                if flow.verdict == NOT_APPLICABLE:
-                    cells.append(f"{flow.name}=na")
-                elif flow.z is None:
-                    cells.append(f"{flow.name}=exact:{flow.verdict}")
+            for flow in payload["flows"]:
+                if flow["verdict"] == NOT_APPLICABLE:
+                    cells.append(f"{flow['name']}=na")
+                elif flow["z"] is None:
+                    cells.append(f"{flow['name']}=exact:{flow['verdict']}")
                 else:
-                    mark = "" if flow.verdict == "pass" else "!"
-                    cells.append(f"{flow.name}={flow.z:+.2f}{mark}")
-            verdict = "pass" if result.overall else "FAIL"
+                    mark = "" if flow["verdict"] == PASS else "!"
+                    cells.append(f"{flow['name']}={flow['z']:+.2f}{mark}")
+            verdict = "pass" if code == 0 else "FAIL"
             print(f"{name:<{width}} seed={seed} {verdict:<4} " + " ".join(cells))
-            failures += not result.overall
+            failures += code != 0
     print(f"\n{failures} failing run(s)")
     return 0 if failures == 0 else 1
 

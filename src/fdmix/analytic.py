@@ -15,6 +15,8 @@ in the given direction, in steady state.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass
 
 # Absolute slack allowed on p_A + m*p_F + n*p_H = 1.
@@ -27,11 +29,29 @@ _SNAP_TOL = 1e-12
 
 
 class InvalidConfigError(ValueError):
-    """Raised when an operation receives a config that fails validation."""
+    """Raised when a config, a station count, a slot span or a seed is invalid."""
 
     def __init__(self, violations: list[str]):
         super().__init__("; ".join(violations))
         self.violations = violations
+
+
+def as_count(name: str, value, minimum: int) -> int:
+    """Return ``value`` as a plain int of at least ``minimum``.
+
+    Integral types such as ``np.int64`` are coerced; ``bool`` and
+    non-integral values such as ``2.0`` are rejected.  Raises
+    :class:`InvalidConfigError` naming ``name``.
+    """
+    try:
+        if type(value) is bool:
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidConfigError([f"{name} must be an integer, got {value!r}"]) from None
+    if value < minimum:
+        raise InvalidConfigError([f"{name} must be >= {minimum}, got {value}"])
+    return value
 
 
 @dataclass(frozen=True)
@@ -73,38 +93,41 @@ def validate(config: NetworkConfig) -> list[str]:
     """Return every invariant violated by ``config``, empty when valid.
 
     Never raises; callers that need a hard failure use
-    :func:`require_valid`.
+    :func:`require_valid`.  A count or probability of the wrong type is
+    reported once, and the checks that depend on it are skipped.
     """
     out: list[str] = []
-    m, n = config.m, config.n
-    if not isinstance(m, int) or isinstance(m, bool):
-        out.append(f"m must be an integer, got {m!r}")
-        m = 0
-    if not isinstance(n, int) or isinstance(n, bool):
-        out.append(f"n must be an integer, got {n!r}")
-        n = 0
-    if m < 0:
-        out.append(f"m must be >= 0, got {m}")
-    if n < 0:
-        out.append(f"n must be >= 0, got {n}")
-    if m >= 0 and n >= 0 and m + n < 1:
+    m = _count_or_none("m", config.m, out)
+    n = _count_or_none("n", config.n, out)
+    if m is not None and n is not None and m + n < 1:
         out.append("need at least one station (m + n >= 1)")
-    for name in ("p_A", "p_F", "p_H"):
-        value = getattr(config, name)
-        if not 0.0 <= value <= 1.0:
+    not_numbers = []
+    for name, value in (("p_A", config.p_A), ("p_F", config.p_F), ("p_H", config.p_H)):
+        if not isinstance(value, (float, int, numbers.Real)):
+            out.append(f"{name} must be a number, got {value!r}")
+            not_numbers.append(name)
+        elif not 0.0 <= value <= 1.0:
             out.append(f"{name} must lie in [0, 1], got {value!r}")
-    if m == 0 and config.p_F != 0.0:
+    if m == 0 and "p_F" not in not_numbers and config.p_F != 0.0:
         out.append(f"p_F must be 0 when m == 0, got {config.p_F!r}")
-    if n == 0 and config.p_H != 0.0:
+    if n == 0 and "p_H" not in not_numbers and config.p_H != 0.0:
         out.append(f"p_H must be 0 when n == 0, got {config.p_H!r}")
-    if m >= 0 and n >= 0:
-        closure = config.p_A + m * config.p_F + n * config.p_H
-        if abs(closure - 1.0) > CLOSURE_TOL:
-            out.append(
-                f"p_A + m*p_F + n*p_H must equal 1 within {CLOSURE_TOL}, "
-                f"got {closure!r}"
-            )
+    if m is None or n is None or not_numbers:
+        return out
+    closure = config.p_A + m * config.p_F + n * config.p_H
+    if abs(closure - 1.0) > CLOSURE_TOL:
+        out.append(
+            f"p_A + m*p_F + n*p_H must equal 1 within {CLOSURE_TOL}, got {closure!r}"
+        )
     return out
+
+
+def _count_or_none(name: str, value, out: list[str]) -> int | None:
+    try:
+        return as_count(name, value, 0)
+    except InvalidConfigError as exc:
+        out += exc.violations
+        return None
 
 
 def require_valid(config: NetworkConfig) -> NetworkConfig:
@@ -149,8 +172,7 @@ def throughputs(config: NetworkConfig) -> ThroughputReport:
     ``fd_up`` are equal by construction: a full-duplex downlink is answered
     by an uplink in the same slot and vice versa.
     """
-    require_valid(config)
-    p = head_fraction(config)
+    p = head_fraction(config)  # validates config
     m, n = config.m, config.n
     hd_down = config.p_A * p / n if n > 0 else 0.0
     hd_up = config.p_H if n > 0 else 0.0
@@ -166,16 +188,21 @@ def throughputs(config: NetworkConfig) -> ThroughputReport:
     )
 
 
+def _station_counts(m, n) -> tuple[int, int]:
+    """Coerce and check the station counts a preset is built from."""
+    m, n = as_count("m", m, 0), as_count("n", n, 0)
+    if m + n < 1:
+        raise InvalidConfigError([f"need m + n >= 1, got m={m}, n={n}"])
+    return m, n
+
+
 def dca_config(m: int, n: int) -> NetworkConfig:
     """Uniform contention: every contender, AP included, gets 1/(1+m+n).
 
     This is what a decentralised backoff scheme converges to when all
     1 + m + n contenders are treated alike.
     """
-    if m < 0 or n < 0 or m + n < 1:
-        raise InvalidConfigError(
-            [f"need m >= 0, n >= 0, m + n >= 1, got m={m}, n={n}"]
-        )
+    m, n = _station_counts(m, n)
     q = 1.0 / (1 + m + n)
     return NetworkConfig(
         m=m,
@@ -195,10 +222,7 @@ def fairness_config(m: int, n: int) -> NetworkConfig:
     half-duplex stations the AP can stay silent and let the m full-duplex
     stations split the medium evenly.
     """
-    if m < 0 or n < 0 or m + n < 1:
-        raise InvalidConfigError(
-            [f"need m >= 0, n >= 0, m + n >= 1, got m={m}, n={n}"]
-        )
+    m, n = _station_counts(m, n)
     if n == 0:
         return NetworkConfig(m=m, n=0, p_A=0.0, p_F=1.0 / m, p_H=0.0)
     denom = 2 * n + m
@@ -218,8 +242,5 @@ def dca_gain(m: int, n: int) -> float:
     stations are present; the surplus over 1 is the fraction of slots won
     by a full-duplex station, each carrying two packets.
     """
-    if m < 0 or n < 0 or m + n < 1:
-        raise InvalidConfigError(
-            [f"need m >= 0, n >= 0, m + n >= 1, got m={m}, n={n}"]
-        )
+    m, n = _station_counts(m, n)
     return 1.0 + m / (1 + m + n)

@@ -14,11 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .analytic import (
+    InvalidConfigError,
     NetworkConfig,
+    as_count,
     dca_config,
     fairness_config,
     require_valid,
@@ -26,6 +28,7 @@ from .analytic import (
 )
 from .simulator import (
     RNG_ALGORITHM,
+    SimStats,
     default_capacity,
     default_warmup,
     empirical_report,
@@ -43,7 +46,8 @@ _CSV_COLUMNS = (
 )
 
 _CONFIG_KEYS = ("m", "n", "p_A", "p_F", "p_H")
-_SIM_KEYS = ("slots", "warmup", "capacity", "seed")
+# sim field -> smallest accepted value
+_SIM_MINIMUM = {"slots": 1, "warmup": 0, "capacity": 1, "seed": 0}
 
 
 class ScenarioError(ValueError):
@@ -88,12 +92,6 @@ def _render_json(payload: dict) -> str:
     return json.dumps(_round_floats(payload), indent=2) + "\n"
 
 
-def _as_int(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def _as_prob(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{name} must be a number, got {value!r}")
@@ -104,7 +102,7 @@ def load_scenario(path: str) -> Scenario:
     """Parse a JSON scenario file; unknown fields are rejected."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ScenarioError(f"{path}: scenario must be a JSON object")
@@ -115,16 +113,16 @@ def load_scenario(path: str) -> Scenario:
     sim = raw.get("sim", {})
     if not isinstance(sim, dict):
         raise ScenarioError(f"{path}: 'sim' must be a JSON object")
-    unknown = sorted(set(sim) - set(_SIM_KEYS))
+    unknown = sorted(set(sim) - set(_SIM_MINIMUM))
     if unknown:
         raise ScenarioError(f"{path}: unknown sim fields {unknown}")
-    sim_values = {key: _as_int(f"sim.{key}", sim[key]) for key in sim}
-    for key in ("slots", "capacity"):
-        if key in sim_values and sim_values[key] < 1:
-            raise ScenarioError(f"{path}: sim.{key} must be >= 1")
-    for key in ("warmup", "seed"):
-        if key in sim_values and sim_values[key] < 0:
-            raise ScenarioError(f"{path}: sim.{key} must be >= 0")
+    try:
+        sim_values = {
+            key: as_count(f"sim.{key}", value, _SIM_MINIMUM[key])
+            for key, value in sim.items()
+        }
+    except InvalidConfigError as exc:
+        raise ScenarioError(f"{path}: {exc}") from None
 
     preset = raw.get("preset")
     if preset is not None:
@@ -138,14 +136,14 @@ def load_scenario(path: str) -> Scenario:
         missing = [key for key in ("m", "n") if key not in raw]
         if missing:
             raise ScenarioError(f"{path}: preset scenarios need {missing}")
-        config = PRESETS[preset](_as_int("m", raw["m"]), _as_int("n", raw["n"]))
+        config = PRESETS[preset](raw["m"], raw["n"])
     else:
         missing = [key for key in _CONFIG_KEYS if key not in raw]
         if missing:
             raise ScenarioError(f"{path}: missing scenario fields {missing}")
         config = NetworkConfig(
-            m=_as_int("m", raw["m"]),
-            n=_as_int("n", raw["n"]),
+            m=raw["m"],
+            n=raw["n"],
             p_A=_as_prob("p_A", raw["p_A"]),
             p_F=_as_prob("p_F", raw["p_F"]),
             p_H=_as_prob("p_H", raw["p_H"]),
@@ -190,37 +188,11 @@ def _scenario_from_args(
         require_valid(config)
         scenario = Scenario(config=config)
     overrides = {
-        key: value
-        for key, value in (
-            ("slots", getattr(args, "slots", None)),
-            ("warmup", getattr(args, "warmup", None)),
-            ("capacity", getattr(args, "capacity", None)),
-            ("seed", getattr(args, "seed", None)),
-        )
-        if value is not None
+        key: getattr(args, key)
+        for key in _SIM_MINIMUM
+        if getattr(args, key, None) is not None
     }
-    return replace(scenario, **overrides) if overrides else scenario
-
-
-def _config_payload(config: NetworkConfig) -> dict:
-    return {
-        "m": config.m,
-        "n": config.n,
-        "p_A": config.p_A,
-        "p_F": config.p_F,
-        "p_H": config.p_H,
-    }
-
-
-def _report_payload(report) -> dict:
-    return {
-        "p": report.p,
-        "hd_down": report.hd_down,
-        "hd_up": report.hd_up,
-        "fd_down": report.fd_down,
-        "fd_up": report.fd_up,
-        "sum": report.sum,
-    }
+    return replace(scenario, **overrides)
 
 
 def _sim_payload(scenario: Scenario) -> dict:
@@ -244,26 +216,30 @@ def cmd_theory(scenario: Scenario) -> dict:
     report = throughputs(scenario.config)
     return {
         "preset": scenario.preset,
-        "config": _config_payload(scenario.config),
-        "theory": _report_payload(report),
+        "config": asdict(scenario.config),
+        "theory": asdict(report),
     }
 
 
-def cmd_simulate(scenario: Scenario) -> dict:
-    """Run the slot simulator and report empirical flows plus counters."""
-    stats = run(
+def _simulate(scenario: Scenario) -> SimStats:
+    return run(
         scenario.config,
         scenario.slots,
         warmup_slots=scenario.warmup,
         capacity=scenario.capacity,
         seed=scenario.seed,
     )
+
+
+def cmd_simulate(scenario: Scenario) -> dict:
+    """Run the slot simulator and report empirical flows plus counters."""
+    stats = _simulate(scenario)
     report = empirical_report(stats, scenario.config)
     return {
         "preset": scenario.preset,
-        "config": _config_payload(scenario.config),
+        "config": asdict(scenario.config),
         "sim": _sim_payload(scenario),
-        "empirical": _report_payload(report),
+        "empirical": asdict(report),
         "counters": {
             "total_slots": stats.total_slots,
             "ap_wins": stats.ap_wins,
@@ -275,13 +251,7 @@ def cmd_simulate(scenario: Scenario) -> dict:
 
 def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     """Simulate, judge against the closed form, and return (payload, exit code)."""
-    stats = run(
-        scenario.config,
-        scenario.slots,
-        warmup_slots=scenario.warmup,
-        capacity=scenario.capacity,
-        seed=scenario.seed,
-    )
+    stats = _simulate(scenario)
     theory = throughputs(scenario.config)
     result = compare(theory, stats, scenario.config, z_max=z_max)
     flows = [
@@ -297,10 +267,10 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     ]
     payload = {
         "preset": scenario.preset,
-        "config": _config_payload(scenario.config),
+        "config": asdict(scenario.config),
         "sim": _sim_payload(scenario),
         "z_max": z_max,
-        "theory": _report_payload(theory),
+        "theory": asdict(theory),
         "flows": flows,
         "overall": "pass" if result.overall else "fail",
     }

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import NetworkConfig, ThroughputReport, require_valid
+from .analytic import NetworkConfig, ThroughputReport, as_count, require_valid
 
 HD = "hd"
 FD = "fd"
@@ -159,10 +159,8 @@ def new_sim(
     total = config.m + config.n
     if capacity is None:
         capacity = default_capacity(config)
-    if not isinstance(capacity, int) or capacity < 1:
-        raise ValueError(f"capacity must be a positive integer, got {capacity!r}")
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    capacity = as_count("capacity", capacity, 1)
+    seed = as_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     entries: deque[int] = deque(rng.integers(0, total, capacity).tolist())
     return SimState(
@@ -278,12 +276,10 @@ def run(
     long enough for the window head composition to forget the uniform
     initial fill.
     """
-    if measured_slots < 1:
-        raise ValueError(f"measured_slots must be >= 1, got {measured_slots}")
+    measured_slots = as_count("measured_slots", measured_slots, 1)
     if warmup_slots is None:
         warmup_slots = default_warmup(measured_slots)
-    if warmup_slots < 0:
-        raise ValueError(f"warmup_slots must be >= 0, got {warmup_slots}")
+    warmup_slots = as_count("warmup_slots", warmup_slots, 0)
     state = new_sim(config, capacity=capacity, seed=seed)
     state.measuring = False
     for _ in range(warmup_slots):
@@ -294,6 +290,29 @@ def run(
     return state.stats
 
 
+def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int]]:
+    """(count, trials) per measured flow: the per-class sums of ``stats``.
+
+    ``hd_down``/``hd_up`` count packets per half-duplex station-slot,
+    ``fd_down``/``fd_up`` per full-duplex station-slot, and ``p`` the AP
+    wins whose head was half-duplex.  Flows of an absent station class are
+    left out, as is ``p`` when the AP never won a slot.
+    """
+    if stats.total_slots <= 0:
+        raise ValueError("no measured slots to report on")
+    n, m, t = config.n, config.m, stats.total_slots
+    out = {}
+    if n > 0:
+        out["hd_down"] = (sum(stats.down_slots[:n]), n * t)
+        out["hd_up"] = (sum(stats.up_slots[:n]), n * t)
+    if m > 0:
+        out["fd_down"] = (sum(stats.down_slots[n:]), m * t)
+        out["fd_up"] = (sum(stats.up_slots[n:]), m * t)
+    if stats.ap_wins > 0:
+        out["p"] = (stats.ap_wins_hd_head, stats.ap_wins)
+    return out
+
+
 def empirical_report(stats: SimStats, config: NetworkConfig) -> ThroughputReport:
     """Turn raw counters into per-station flow estimates.
 
@@ -302,21 +321,14 @@ def empirical_report(stats: SimStats, config: NetworkConfig) -> ThroughputReport
     absent class are 0; the head composition is reported as 0 when the AP
     never won a slot (no observations).
     """
-    if stats.total_slots <= 0:
-        raise ValueError("no measured slots to report on")
-    n, m = config.n, config.m
-    t = stats.total_slots
-    hd_down = sum(stats.down_slots[:n]) / (n * t) if n > 0 else 0.0
-    hd_up = sum(stats.up_slots[:n]) / (n * t) if n > 0 else 0.0
-    fd_down = sum(stats.down_slots[n:]) / (m * t) if m > 0 else 0.0
-    fd_up = sum(stats.up_slots[n:]) / (m * t) if m > 0 else 0.0
-    p = stats.ap_wins_hd_head / stats.ap_wins if stats.ap_wins > 0 else 0.0
-    total = (sum(stats.down_slots) + sum(stats.up_slots)) / t
+    counts = flow_counts(stats, config)
+    mean = {name: count / trials for name, (count, trials) in counts.items()}
+    packets = sum(count for name, (count, _) in counts.items() if name != "p")
     return ThroughputReport(
-        p=p,
-        hd_down=hd_down,
-        hd_up=hd_up,
-        fd_down=fd_down,
-        fd_up=fd_up,
-        sum=total,
+        p=mean.get("p", 0.0),
+        hd_down=mean.get("hd_down", 0.0),
+        hd_up=mean.get("hd_up", 0.0),
+        fd_down=mean.get("fd_down", 0.0),
+        fd_up=mean.get("fd_up", 0.0),
+        sum=packets / stats.total_slots,
     )

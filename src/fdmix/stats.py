@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .analytic import NetworkConfig, ThroughputReport
-from .simulator import SimStats
+from .simulator import SimStats, flow_counts
 
 PASS = "pass"
 FAIL = "fail"
@@ -88,33 +88,21 @@ def compare(
     the head composition when the AP never won a slot.  The aggregate is
     split into its downlink and uplink slot fractions, whose variances add.
     """
-    if stats.total_slots <= 0:
-        raise ValueError("stats cover no measured slots")
-    n, m, t = config.n, config.m, stats.total_slots
+    counts = flow_counts(stats, config)
+    estimates = {name: estimate(*pair) for name, pair in counts.items()}
 
-    hd_down = estimate(sum(stats.down_slots[:n]), n * t) if n > 0 else None
-    hd_up = estimate(sum(stats.up_slots[:n]), n * t) if n > 0 else None
-    fd_down = estimate(sum(stats.down_slots[n:]), m * t) if m > 0 else None
-    fd_up = estimate(sum(stats.up_slots[n:]), m * t) if m > 0 else None
-    p = (
-        estimate(stats.ap_wins_hd_head, stats.ap_wins)
-        if stats.ap_wins > 0
-        else None
-    )
-    down_frac = estimate(sum(stats.down_slots), t)
-    up_frac = estimate(sum(stats.up_slots), t)
-    total = FlowEstimate(
+    def packets(*names: str) -> int:
+        return sum(counts[name][0] for name in names if name in counts)
+
+    down_frac = estimate(packets("hd_down", "fd_down"), stats.total_slots)
+    up_frac = estimate(packets("hd_up", "fd_up"), stats.total_slots)
+    estimates["sum"] = FlowEstimate(
         mean=down_frac.mean + up_frac.mean,
         std_error=math.hypot(down_frac.std_error, up_frac.std_error),
     )
-
     flows = [
-        _judge("hd_down", theory.hd_down, hd_down, z_max),
-        _judge("hd_up", theory.hd_up, hd_up, z_max),
-        _judge("fd_down", theory.fd_down, fd_down, z_max),
-        _judge("fd_up", theory.fd_up, fd_up, z_max),
-        _judge("p", theory.p, p, z_max),
-        _judge("sum", theory.sum, total, z_max),
+        _judge(name, getattr(theory, name), estimates.get(name), z_max)
+        for name in ("hd_down", "hd_up", "fd_down", "fd_up", "p", "sum")
     ]
     overall = all(f.verdict != FAIL for f in flows)
     return ComparisonResult(flows=flows, z_max=z_max, overall=overall)

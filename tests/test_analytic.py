@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -123,6 +124,17 @@ class TestValidate:
         assert validate(NetworkConfig(0, 2, 0.5, 0.1, 0.25)) != []
         assert validate(NetworkConfig(2, 0, 0.5, 0.25, 0.1)) != []
 
+    def test_string_probability_reported_not_raised(self):
+        assert validate(NetworkConfig(1, 1, "a", 0.3, 0.1)) == [
+            "p_A must be a number, got 'a'"
+        ]
+
+    def test_bad_count_does_not_cascade(self):
+        # m is unusable, so the checks that need m (p_F, closure) are skipped
+        assert validate(NetworkConfig(True, 2, 0.25, 0.25, 0.25)) == [
+            "m must be an integer, got True"
+        ]
+
     def test_violations_accumulate(self):
         assert len(validate(NetworkConfig(-1, 0, 2.0, 0.0, 0.5))) >= 2
 
@@ -168,6 +180,21 @@ class TestConstructors:
             builder(0, 0)
         with pytest.raises(InvalidConfigError):
             builder(-1, 3)
+
+    @pytest.mark.parametrize("builder", [dca_config, fairness_config, dca_gain])
+    def test_counts_must_be_integral(self, builder):
+        with pytest.raises(InvalidConfigError, match="m must be an integer"):
+            builder(True, 2)
+        with pytest.raises(InvalidConfigError, match="n must be an integer"):
+            builder(2, 2.0)
+
+    def test_numpy_integer_counts_are_coerced(self):
+        cfg = dca_config(np.int64(2), 2)
+        assert cfg == dca_config(2, 2)
+        assert type(cfg.m) is int
+        assert validate(cfg) == []
+        # validate applies the same rule to a config built by hand
+        assert validate(NetworkConfig(np.int64(1), 1, 0.6, 0.3, 0.1)) == []
 
     @pytest.mark.parametrize("m,n", [(1, 1), (2, 5), (7, 1), (0, 3), (12, 9)])
     def test_gain_matches_model_when_half_duplex_present(self, m, n):

@@ -227,6 +227,14 @@ class TestScenarioFiles:
         )
         assert code == 2
 
+    def test_deeply_nested_json_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run_cli(capsys, "theory", "--scenario", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("fdmix: error:")
+
     def test_non_object_exits_two(self, capsys, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

@@ -1,0 +1,49 @@
+"""Smoke runs of the two study scripts at tiny sizes.
+
+Only the exit code and the shape of the output are checked: at these run
+lengths the verdict on the head composition depends on the seed.
+"""
+
+import runpy
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def script_main(name):
+    return runpy.run_path(str(SCRIPTS / name))["main"]
+
+
+def test_sweep_figure(capsys, tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = script_main("sweep_figure.py")(["--total-stations", "4", "--out", str(out)])
+    assert code == 0
+    csv_lines = out.read_text(encoding="utf-8").splitlines()
+    assert len(csv_lines) == 1 + 2 * 5  # header, then m = 0..4 per preset
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"wrote {out}"
+    table = lines[lines.index("aggregate packets per slot, 4 stations") + 2:]
+    assert [row.split()[:2] for row in table] == [[str(m), str(4 - m)] for m in range(5)]
+    for row in table:
+        dca_sum, fair_sum = map(float, row.split()[2:])
+        assert 1.0 <= dca_sum <= 2.0 and 1.0 <= fair_sum <= 2.0
+
+
+def test_validate_presets(capsys):
+    module = runpy.run_path(str(SCRIPTS / "validate_presets.py"))
+    code = module["main"](["--slots", "2000", "--seeds", "1"])
+    assert code in (0, 1)
+    lines = capsys.readouterr().out.splitlines()
+    runs = lines[:-2]
+    assert len(runs) == len(module["CASES"])
+    for (name, _), line in zip(module["CASES"], runs):
+        words = line.split()
+        assert words[:2] == [name, "seed=0"]
+        assert words[2] in ("pass", "FAIL")
+        assert [cell.split("=")[0] for cell in words[3:]] == [
+            "hd_down", "hd_up", "fd_down", "fd_up", "p", "sum",
+        ]
+    assert lines[-2] == ""
+    failing = int(lines[-1].split()[0])
+    assert lines[-1] == f"{failing} failing run(s)"
+    assert code == (1 if failing else 0)

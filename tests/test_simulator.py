@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fdmix.analytic import (
@@ -22,6 +23,7 @@ from fdmix.simulator import (
     default_warmup,
     empirical_report,
     encode_dest,
+    flow_counts,
     new_sim,
     run,
     step,
@@ -52,6 +54,10 @@ class TestConstruction:
             new_sim(DCA22, seed=-1)
         with pytest.raises(InvalidConfigError):
             new_sim(NetworkConfig(1, 1, 0.9, 0.9, 0.9))
+
+    def test_rejects_bool_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            new_sim(DCA22, seed=True)
 
     def test_same_seed_same_initial_window(self):
         a = new_sim(DCA22, seed=7)
@@ -171,6 +177,17 @@ class TestRun:
         with pytest.raises(ValueError):
             run(DCA22, 10, warmup_slots=-1)
 
+    def test_rejects_non_integral_span(self):
+        # a float span is refused as a value, not left to fail in range()
+        with pytest.raises(ValueError, match="measured_slots"):
+            run(DCA22, 10.0)
+        with pytest.raises(ValueError, match="warmup_slots"):
+            run(DCA22, 10, warmup_slots=1.5)
+
+    def test_numpy_integer_seed_matches_int_seed(self):
+        cfg = dca_config(1, 1)
+        assert run(cfg, 100, seed=np.int64(3)) == run(cfg, 100, seed=3)
+
 
 class TestExactRegimes:
     def test_all_full_duplex_every_slot_carries_two(self):
@@ -200,6 +217,19 @@ class TestEmpiricalReport:
         with pytest.raises(ValueError):
             empirical_report(SimStats(down_slots=[0], up_slots=[0]), dca_config(0, 1))
 
+    def test_flow_counts_cover_present_classes(self):
+        assert set(flow_counts(run(DCA22, 2_000, seed=0), DCA22)) == {
+            "hd_down", "hd_up", "fd_down", "fd_up", "p",
+        }
+        fd_only = fairness_config(3, 0)  # the AP never transmits
+        assert set(flow_counts(run(fd_only, 2_000, seed=0), fd_only)) == {
+            "fd_down", "fd_up",
+        }
+        hd_only = dca_config(0, 2)
+        assert set(flow_counts(run(hd_only, 2_000, seed=0), hd_only)) == {
+            "hd_down", "hd_up", "p",
+        }
+
     def test_convergence_smoke(self):
         for cfg in (DCA22, MIXED):
             stats = run(cfg, 200_000, seed=0)
@@ -207,28 +237,13 @@ class TestEmpiricalReport:
             assert result.overall, [(f.name, f.z) for f in result.flows]
 
 
-def _flow_counts(stats, config):
-    """(count, trials) pairs per flow, for standard errors across routes."""
-    n, m, t = config.n, config.m, stats.total_slots
-    out = {}
-    if n > 0:
-        out["hd_down"] = (sum(stats.down_slots[:n]), n * t)
-        out["hd_up"] = (sum(stats.up_slots[:n]), n * t)
-    if m > 0:
-        out["fd_down"] = (sum(stats.down_slots[n:]), m * t)
-        out["fd_up"] = (sum(stats.up_slots[n:]), m * t)
-    if stats.ap_wins > 0:
-        out["p"] = (stats.ap_wins_hd_head, stats.ap_wins)
-    return out
-
-
 class TestAgainstUnboundedReference:
     """The windowed queue must reproduce an unbounded backlog's rates."""
 
     @pytest.mark.parametrize("config", [DCA22, MIXED], ids=["dca22", "mixed11"])
     def test_flows_match_reference(self, config):
-        windowed = _flow_counts(run(config, 150_000, seed=1), config)
-        reference = _flow_counts(
+        windowed = flow_counts(run(config, 150_000, seed=1), config)
+        reference = flow_counts(
             run_reference(config, 150_000, seed=11), config
         )
         for name in windowed:
@@ -248,8 +263,8 @@ class TestAgainstUnboundedReference:
         # composition there fluctuates on long scales, so only the four
         # station flows are held to the 5 sigma bound
         config = fairness_config(2, 2)
-        windowed = _flow_counts(run(config, 150_000, seed=1), config)
-        reference = _flow_counts(
+        windowed = flow_counts(run(config, 150_000, seed=1), config)
+        reference = flow_counts(
             run_reference(config, 150_000, seed=11), config
         )
         for name in ("hd_down", "hd_up", "fd_down", "fd_up"):

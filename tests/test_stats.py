@@ -5,7 +5,7 @@ import math
 import pytest
 
 from fdmix.analytic import NetworkConfig, dca_config, fairness_config, throughputs
-from fdmix.simulator import SimStats, run
+from fdmix.simulator import SimStats, empirical_report, run
 from fdmix.stats import (
     FAIL,
     NOT_APPLICABLE,
@@ -117,6 +117,18 @@ class TestCompare:
         )
         assert flows["sum"].estimate.mean == pytest.approx(down + up)
         assert flows["sum"].estimate.std_error == pytest.approx(want)
+
+    @pytest.mark.parametrize(
+        "cfg", [MIXED, dca_config(0, 3), fairness_config(3, 0)],
+        ids=["mixed11", "hd_only", "fd_only"],
+    )
+    def test_means_equal_empirical_report(self, cfg):
+        # both are built from the same flow counts, so they agree exactly
+        stats = run(cfg, 20_000, seed=4)
+        report = empirical_report(stats, cfg)
+        for flow in compare(throughputs(cfg), stats, cfg).flows:
+            if flow.estimate is not None:
+                assert flow.estimate.mean == getattr(report, flow.name), flow.name
 
     def test_rejects_empty_stats(self):
         empty = SimStats(down_slots=[0, 0], up_slots=[0, 0])
