@@ -12,7 +12,7 @@ import csv
 import io
 import sys
 
-from fdmix.cli import SweepSpec, cmd_sweep
+from fdmix.cli import cmd_sweep
 
 
 def main(argv=None) -> int:
@@ -21,7 +21,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="sweep.csv", help="CSV destination")
     args = parser.parse_args(argv)
 
-    csv_text = cmd_sweep(SweepSpec(total_stations=args.total_stations))
+    csv_text = cmd_sweep(args.total_stations)
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(csv_text)
     print(f"wrote {args.out}")

@@ -22,6 +22,10 @@ from dataclasses import dataclass
 # Absolute slack allowed on p_A + m*p_F + n*p_H = 1.
 CLOSURE_TOL = 1e-9
 
+# Largest station count.  The closed form computes in floats, which hold
+# every integer up to 2**53 exactly; a larger count can overflow them.
+MAX_STATIONS = 2**53
+
 # Relative slack under which the head fraction is snapped to exactly 1.
 # The saturation argument can land on 1 mathematically yet round to
 # 1 +/- 2 ulp in floats; downstream code branches on p == 1.
@@ -36,8 +40,8 @@ class InvalidConfigError(ValueError):
         self.violations = violations
 
 
-def as_count(name: str, value, minimum: int) -> int:
-    """Return ``value`` as a plain int of at least ``minimum``.
+def as_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
+    """Return ``value`` as a plain int in ``[minimum, maximum]``.
 
     Integral types such as ``np.int64`` are coerced; ``bool`` and
     non-integral values such as ``2.0`` are rejected.  Raises
@@ -51,6 +55,8 @@ def as_count(name: str, value, minimum: int) -> int:
         raise InvalidConfigError([f"{name} must be an integer, got {value!r}"]) from None
     if value < minimum:
         raise InvalidConfigError([f"{name} must be >= {minimum}, got {value}"])
+    if maximum is not None and value > maximum:
+        raise InvalidConfigError([f"{name} must be <= {maximum}, got {value}"])
     return value
 
 
@@ -93,26 +99,29 @@ def validate(config: NetworkConfig) -> list[str]:
     """Return every invariant violated by ``config``, empty when valid.
 
     Never raises; callers that need a hard failure use
-    :func:`require_valid`.  A count or probability of the wrong type is
-    reported once, and the checks that depend on it are skipped.
+    :func:`require_valid`.  A bad count or probability is reported once,
+    and the checks that depend on it are skipped.  This is the one rule
+    for probabilities: a real number in [0, 1], integral ones included,
+    but not ``bool``.
     """
     out: list[str] = []
     m = _count_or_none("m", config.m, out)
     n = _count_or_none("n", config.n, out)
     if m is not None and n is not None and m + n < 1:
         out.append("need at least one station (m + n >= 1)")
-    not_numbers = []
+    bad_probs = []
     for name, value in (("p_A", config.p_A), ("p_F", config.p_F), ("p_H", config.p_H)):
-        if not isinstance(value, (float, int, numbers.Real)):
+        if type(value) is bool or not isinstance(value, (float, int, numbers.Real)):
             out.append(f"{name} must be a number, got {value!r}")
-            not_numbers.append(name)
+            bad_probs.append(name)
         elif not 0.0 <= value <= 1.0:
             out.append(f"{name} must lie in [0, 1], got {value!r}")
-    if m == 0 and "p_F" not in not_numbers and config.p_F != 0.0:
+            bad_probs.append(name)
+    if m == 0 and "p_F" not in bad_probs and config.p_F != 0.0:
         out.append(f"p_F must be 0 when m == 0, got {config.p_F!r}")
-    if n == 0 and "p_H" not in not_numbers and config.p_H != 0.0:
+    if n == 0 and "p_H" not in bad_probs and config.p_H != 0.0:
         out.append(f"p_H must be 0 when n == 0, got {config.p_H!r}")
-    if m is None or n is None or not_numbers:
+    if m is None or n is None or bad_probs:
         return out
     closure = config.p_A + m * config.p_F + n * config.p_H
     if abs(closure - 1.0) > CLOSURE_TOL:
@@ -124,7 +133,7 @@ def validate(config: NetworkConfig) -> list[str]:
 
 def _count_or_none(name: str, value, out: list[str]) -> int | None:
     try:
-        return as_count(name, value, 0)
+        return as_count(name, value, 0, MAX_STATIONS)
     except InvalidConfigError as exc:
         out += exc.violations
         return None
@@ -190,7 +199,7 @@ def throughputs(config: NetworkConfig) -> ThroughputReport:
 
 def _station_counts(m, n) -> tuple[int, int]:
     """Coerce and check the station counts a preset is built from."""
-    m, n = as_count("m", m, 0), as_count("n", n, 0)
+    m, n = as_count("m", m, 0, MAX_STATIONS), as_count("n", n, 0, MAX_STATIONS)
     if m + n < 1:
         raise InvalidConfigError([f"need m + n >= 1, got m={m}, n={n}"])
     return m, n

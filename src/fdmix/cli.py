@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from .analytic import (
-    InvalidConfigError,
     NetworkConfig,
     as_count,
     dca_config,
@@ -45,9 +45,12 @@ _CSV_COLUMNS = (
     "hd_down_total,hd_up_total,fd_down_total,fd_up_total"
 )
 
-_CONFIG_KEYS = ("m", "n", "p_A", "p_F", "p_H")
+_PROBS = ("p_A", "p_F", "p_H")
+_CONFIG_KEYS = ("m", "n", *_PROBS)
 # sim field -> smallest accepted value
 _SIM_MINIMUM = {"slots": 1, "warmup": 0, "capacity": 1, "seed": 0}
+# config flag -> scenario field
+_FLAG_FIELDS = {"preset": "preset", "m": "m", "n": "n", "pA": "p_A", "pF": "p_F", "pH": "p_H"}
 
 
 class ScenarioError(ValueError):
@@ -66,14 +69,6 @@ class Scenario:
     seed: int = 0
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Mix sweep at a fixed station total, one row per preset and mix."""
-
-    total_stations: int
-    presets: tuple[str, ...] = ("dca", "fair")
-
-
 def _sig(value: float) -> str:
     return format(value, ".12g")
 
@@ -89,123 +84,95 @@ def _round_floats(value):
 
 
 def _render_json(payload: dict) -> str:
-    return json.dumps(_round_floats(payload), indent=2) + "\n"
+    # default=operator.index serialises integral numpy values such as np.int64
+    return json.dumps(_round_floats(payload), indent=2, default=operator.index) + "\n"
 
 
-def _as_prob(name: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{name} must be a number, got {value!r}")
-    return float(value)
+def parse_scenario(raw) -> Scenario:
+    """Build a :class:`Scenario` from a scenario mapping, as a JSON file holds it.
 
-
-def load_scenario(path: str) -> Scenario:
-    """Parse a JSON scenario file; unknown fields are rejected."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+    The mapping names a preset with ``m`` and ``n``, or all five of ``m``,
+    ``n``, ``p_A``, ``p_F`` and ``p_H``, plus an optional ``sim`` block.
+    Unknown fields are rejected.  Raises :class:`ScenarioError` or
+    :class:`InvalidConfigError` naming the field that is missing or bad.
+    """
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: scenario must be a JSON object")
+        raise ScenarioError("scenario must be a JSON object")
     unknown = sorted(set(raw) - {"preset", "sim", *_CONFIG_KEYS})
     if unknown:
-        raise ScenarioError(f"{path}: unknown scenario fields {unknown}")
-
+        raise ScenarioError(f"unknown scenario fields {unknown}")
     sim = raw.get("sim", {})
     if not isinstance(sim, dict):
-        raise ScenarioError(f"{path}: 'sim' must be a JSON object")
+        raise ScenarioError("'sim' must be a JSON object")
     unknown = sorted(set(sim) - set(_SIM_MINIMUM))
     if unknown:
-        raise ScenarioError(f"{path}: unknown sim fields {unknown}")
-    try:
-        sim_values = {
-            key: as_count(f"sim.{key}", value, _SIM_MINIMUM[key])
-            for key, value in sim.items()
-        }
-    except InvalidConfigError as exc:
-        raise ScenarioError(f"{path}: {exc}") from None
+        raise ScenarioError(f"unknown sim fields {unknown}")
+    sim = {key: as_count(f"sim.{key}", value, _SIM_MINIMUM[key]) for key, value in sim.items()}
 
     preset = raw.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ScenarioError(f"{path}: unknown preset {preset!r}")
-        if any(key in raw for key in ("p_A", "p_F", "p_H")):
+    if preset is None:
+        missing = [key for key in _CONFIG_KEYS if key not in raw]
+        if missing:
+            raise ScenarioError(f"missing scenario fields {missing}")
+        config = require_valid(NetworkConfig(*(raw[key] for key in _CONFIG_KEYS)))
+        # validate() accepts integral probabilities; report them as floats
+        config = replace(config, **{key: float(getattr(config, key)) for key in _PROBS})
+    else:
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ScenarioError(f"unknown preset {preset!r}")
+        given = [key for key in _PROBS if key in raw]
+        if given:
             raise ScenarioError(
-                f"{path}: a preset fixes the probabilities; "
-                "p_A/p_F/p_H may not also be given"
+                f"a preset fixes the probabilities; {given} may not also be given"
             )
         missing = [key for key in ("m", "n") if key not in raw]
         if missing:
-            raise ScenarioError(f"{path}: preset scenarios need {missing}")
+            raise ScenarioError(f"preset scenarios need {missing}")
         config = PRESETS[preset](raw["m"], raw["n"])
-    else:
-        missing = [key for key in _CONFIG_KEYS if key not in raw]
-        if missing:
-            raise ScenarioError(f"{path}: missing scenario fields {missing}")
-        config = NetworkConfig(
-            m=raw["m"],
-            n=raw["n"],
-            p_A=_as_prob("p_A", raw["p_A"]),
-            p_F=_as_prob("p_F", raw["p_F"]),
-            p_H=_as_prob("p_H", raw["p_H"]),
-        )
-    require_valid(config)
-    return Scenario(
-        config=config,
-        preset=preset,
-        slots=sim_values.get("slots", DEFAULT_SLOTS),
-        warmup=sim_values.get("warmup"),
-        capacity=sim_values.get("capacity"),
-        seed=sim_values.get("seed", 0),
-    )
+    return Scenario(config=config, preset=preset, **sim)
 
 
-def _scenario_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> Scenario:
-    flag_names = ("preset", "m", "n", "pA", "pF", "pH")
-    given = [name for name in flag_names if getattr(args, name) is not None]
+def _read_json(path: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+
+
+def load_scenario(path: str) -> Scenario:
+    """Parse a JSON scenario file with :func:`parse_scenario`."""
+    return parse_scenario(_read_json(path))
+
+
+def _scenario_from_args(args: argparse.Namespace) -> Scenario:
+    # Flags make the same mapping a scenario file holds; sim flags override
+    # the file's sim block field by field.
+    raw = {
+        field: getattr(args, flag)
+        for flag, field in _FLAG_FIELDS.items()
+        if getattr(args, flag) is not None
+    }
     if args.scenario is not None:
-        if given:
-            parser.error("--scenario cannot be combined with config flags")
-        scenario = load_scenario(args.scenario)
-    elif args.preset is not None:
-        if args.pA is not None or args.pF is not None or args.pH is not None:
-            parser.error("--preset and --pA/--pF/--pH are mutually exclusive")
-        if args.m is None or args.n is None:
-            parser.error("--preset requires --m and --n")
-        scenario = Scenario(
-            config=PRESETS[args.preset](args.m, args.n), preset=args.preset
-        )
-    else:
-        if len(given) < 5:
-            parser.error(
-                "describe the network with --preset --m --n, "
-                "with --m --n --pA --pF --pH, or with --scenario FILE"
-            )
-        config = NetworkConfig(
-            m=args.m, n=args.n, p_A=args.pA, p_F=args.pF, p_H=args.pH
-        )
-        require_valid(config)
-        scenario = Scenario(config=config)
-    overrides = {
+        if raw:
+            raise ScenarioError("--scenario cannot be combined with config flags")
+        raw = _read_json(args.scenario)
+    sim = {
         key: getattr(args, key)
         for key in _SIM_MINIMUM
         if getattr(args, key, None) is not None
     }
-    return replace(scenario, **overrides)
+    if isinstance(raw, dict) and isinstance(raw.get("sim", {}), dict):
+        raw = {**raw, "sim": {**raw.get("sim", {}), **sim}}
+    return parse_scenario(raw)
 
 
 def _sim_payload(scenario: Scenario) -> dict:
-    warmup = scenario.warmup
-    if warmup is None:
-        warmup = default_warmup(scenario.slots)
-    capacity = scenario.capacity
-    if capacity is None:
-        capacity = default_capacity(scenario.config)
+    """The simulation parameters with every default resolved."""
+    warmup, capacity = scenario.warmup, scenario.capacity
     return {
         "slots": scenario.slots,
-        "warmup": warmup,
-        "capacity": capacity,
+        "warmup": default_warmup(scenario.slots) if warmup is None else warmup,
+        "capacity": default_capacity(scenario.config) if capacity is None else capacity,
         "seed": scenario.seed,
         "rng": RNG_ALGORITHM,
     }
@@ -221,24 +188,27 @@ def cmd_theory(scenario: Scenario) -> dict:
     }
 
 
-def _simulate(scenario: Scenario) -> SimStats:
-    return run(
+def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
+    """Run the scenario; also return the resolved parameters it ran with."""
+    sim = _sim_payload(scenario)
+    stats = run(
         scenario.config,
-        scenario.slots,
-        warmup_slots=scenario.warmup,
-        capacity=scenario.capacity,
-        seed=scenario.seed,
+        sim["slots"],
+        warmup_slots=sim["warmup"],
+        capacity=sim["capacity"],
+        seed=sim["seed"],
     )
+    return stats, sim
 
 
 def cmd_simulate(scenario: Scenario) -> dict:
     """Run the slot simulator and report empirical flows plus counters."""
-    stats = _simulate(scenario)
+    stats, sim = _simulate(scenario)
     report = empirical_report(stats, scenario.config)
     return {
         "preset": scenario.preset,
         "config": asdict(scenario.config),
-        "sim": _sim_payload(scenario),
+        "sim": sim,
         "empirical": asdict(report),
         "counters": {
             "total_slots": stats.total_slots,
@@ -251,7 +221,7 @@ def cmd_simulate(scenario: Scenario) -> dict:
 
 def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     """Simulate, judge against the closed form, and return (payload, exit code)."""
-    stats = _simulate(scenario)
+    stats, sim = _simulate(scenario)
     theory = throughputs(scenario.config)
     result = compare(theory, stats, scenario.config, z_max=z_max)
     flows = [
@@ -268,7 +238,7 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     payload = {
         "preset": scenario.preset,
         "config": asdict(scenario.config),
-        "sim": _sim_payload(scenario),
+        "sim": sim,
         "z_max": z_max,
         "theory": asdict(theory),
         "flows": flows,
@@ -277,42 +247,25 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     return payload, 0 if result.overall else 1
 
 
-def cmd_sweep(spec: SweepSpec) -> str:
+def cmd_sweep(total_stations: int) -> str:
     """CSV over every mix m + n == total_stations, one block per preset.
 
     Per-station flows are accompanied by *_total columns (flow times class
     size) so aggregate curves can be plotted without post-processing.
     """
-    if spec.total_stations < 1:
-        raise ScenarioError("total_stations must be >= 1")
+    total = as_count("total_stations", total_stations, 1)
     lines = [_CSV_COLUMNS]
-    for preset in sorted(spec.presets):
-        if preset not in PRESETS:
-            raise ScenarioError(f"unknown preset {preset!r}")
-        build = PRESETS[preset]
-        for m in range(spec.total_stations + 1):
-            n = spec.total_stations - m
+    for preset, build in sorted(PRESETS.items()):
+        for m in range(total + 1):
+            n = total - m
             config = build(m, n)
-            report = throughputs(config)
-            cells = [
-                preset,
-                str(m),
-                str(n),
-                _sig(config.p_A),
-                _sig(config.p_F),
-                _sig(config.p_H),
-                _sig(report.p),
-                _sig(report.hd_down),
-                _sig(report.hd_up),
-                _sig(report.fd_down),
-                _sig(report.fd_up),
-                _sig(report.sum),
-                _sig(n * report.hd_down),
-                _sig(n * report.hd_up),
-                _sig(m * report.fd_down),
-                _sig(m * report.fd_up),
-            ]
-            lines.append(",".join(cells))
+            r = throughputs(config)
+            values = (
+                config.p_A, config.p_F, config.p_H, r.p, r.hd_down, r.hd_up,
+                r.fd_down, r.fd_up, r.sum,
+                n * r.hd_down, n * r.hd_up, m * r.fd_down, m * r.fd_up,
+            )
+            lines.append(",".join([preset, str(m), str(n), *map(_sig, values)]))
     return "\n".join(lines) + "\n"
 
 
@@ -369,13 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
-            _emit(cmd_sweep(SweepSpec(total_stations=args.total_stations)), args.out)
+            _emit(cmd_sweep(args.total_stations), args.out)
             return 0
-        scenario = _scenario_from_args(args, parser)
+        scenario = _scenario_from_args(args)
         if args.command == "theory":
             _emit(_render_json(cmd_theory(scenario)), args.out)
             return 0

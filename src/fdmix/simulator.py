@@ -24,8 +24,9 @@ winning half-duplex station only uplinks.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
+from functools import partial
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -103,13 +104,10 @@ class SimState:
     queue: ApQueue
     debt: list[int]  # per FD station, packets consumed beyond the window
     rng: np.random.Generator
+    uniforms: Iterator[float]  # one per slot, picks the winner
+    dests: Iterator[int]  # backlog destinations for window refills
     stats: SimStats
     measuring: bool = True
-    # batched draws; refilled from rng in blocks to keep the loop cheap
-    _u: list[float] = field(default_factory=list)
-    _ui: int = 0
-    _d: list[int] = field(default_factory=list)
-    _di: int = 0
 
 
 def encode_dest(config: NetworkConfig, packet: Packet) -> int:
@@ -156,6 +154,8 @@ def new_sim(
     un-consumed part of the backlog.
     """
     require_valid(config)
+    # plain ints keep step()'s arithmetic off numpy scalars
+    config = replace(config, m=int(config.m), n=int(config.n))
     total = config.m + config.n
     if capacity is None:
         capacity = default_capacity(config)
@@ -168,6 +168,8 @@ def new_sim(
         queue=ApQueue(entries=entries, capacity=capacity),
         debt=[0] * config.m,
         rng=rng,
+        uniforms=_stream(rng.random),
+        dests=_stream(partial(rng.integers, 0, total)),
         stats=SimStats(
             down_slots=[0] * total,
             up_slots=[0] * total,
@@ -175,23 +177,10 @@ def new_sim(
     )
 
 
-def _next_u(state: SimState) -> float:
-    if state._ui >= len(state._u):
-        state._u = state.rng.random(_BLOCK).tolist()
-        state._ui = 0
-    u = state._u[state._ui]
-    state._ui += 1
-    return u
-
-
-def _next_dest(state: SimState) -> int:
-    if state._di >= len(state._d):
-        total = state.config.m + state.config.n
-        state._d = state.rng.integers(0, total, _BLOCK).tolist()
-        state._di = 0
-    d = state._d[state._di]
-    state._di += 1
-    return d
+def _stream(draw: Callable[[int], np.ndarray]) -> Iterator:
+    """Yield draws one at a time, fetched lazily in blocks to keep the loop cheap."""
+    while True:
+        yield from draw(_BLOCK).tolist()
 
 
 def _refill(state: SimState) -> None:
@@ -200,8 +189,9 @@ def _refill(state: SimState) -> None:
     # already consumed out of turn.
     n = state.config.n
     debt = state.debt
+    dests = state.dests
     while True:
-        d = _next_dest(state)
+        d = next(dests)
         if d >= n and debt[d - n] > 0:
             debt[d - n] -= 1
             continue
@@ -217,7 +207,7 @@ def step(state: SimState) -> SlotOutcome:
     measuring = state.measuring
     if measuring:
         stats.total_slots += 1
-    u = _next_u(state)
+    u = next(state.uniforms)
     if u < cfg.p_A:
         # AP wins: serve the window head in FIFO order.
         head = state.queue.entries.popleft()

@@ -129,6 +129,27 @@ class TestValidate:
             "p_A must be a number, got 'a'"
         ]
 
+    def test_bool_probability_rejected(self):
+        assert validate(NetworkConfig(1, 1, True, 0.0, 0.0)) == [
+            "p_A must be a number, got True"
+        ]
+
+    def test_integral_probability_accepted(self):
+        assert validate(NetworkConfig(1, 0, 0, 1, 0)) == []
+
+    def test_huge_count_reported_not_raised(self):
+        # beyond 2**53 the closure would overflow a float
+        assert validate(NetworkConfig(10**400, 1, 0.5, 0.0, 0.5)) == [
+            f"m must be <= {2**53}, got {10**400}"
+        ]
+        assert validate(NetworkConfig(2**53, 1, 0.5, 0.0, 0.5)) == []
+        assert validate(NetworkConfig(1, 2**53 + 1, 0.5, 0.5, 0.0)) != []
+
+    def test_huge_probability_reported_not_raised(self):
+        assert validate(NetworkConfig(1, 1, 10**400, 0.3, 0.1)) == [
+            f"p_A must lie in [0, 1], got {10**400}"
+        ]
+
     def test_bad_count_does_not_cascade(self):
         # m is unusable, so the checks that need m (p_F, closure) are skipped
         assert validate(NetworkConfig(True, 2, 0.25, 0.25, 0.25)) == [
@@ -187,6 +208,11 @@ class TestConstructors:
             builder(True, 2)
         with pytest.raises(InvalidConfigError, match="n must be an integer"):
             builder(2, 2.0)
+
+    @pytest.mark.parametrize("builder", [dca_config, fairness_config, dca_gain])
+    def test_huge_counts_rejected(self, builder):
+        with pytest.raises(InvalidConfigError, match="m must be <="):
+            builder(10**400, 1)
 
     def test_numpy_integer_counts_are_coerced(self):
         cfg = dca_config(np.int64(2), 2)

@@ -1,12 +1,18 @@
 """Command line behaviour: formats, determinism, exit codes, scenario files."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from fdmix.cli import _CSV_COLUMNS, main
+from fdmix.analytic import NetworkConfig
+from fdmix.cli import _CSV_COLUMNS, Scenario, _render_json, cmd_theory, main
 
 
 def run_cli(capsys, *argv):
@@ -19,6 +25,12 @@ def run_json(capsys, *argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("fdmix: error:"), err
 
 
 class TestTheory:
@@ -41,6 +53,19 @@ class TestTheory:
     def test_floats_rounded_to_12_significant_digits(self, capsys):
         payload = run_json(capsys, "theory", "--preset", "dca", "--m", "1", "--n", "3")
         assert payload["theory"]["hd_down"] == float("0.0666666666667")
+
+    def test_huge_station_count_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "theory", "--preset", "dca", "--m", str(10**400), "--n", "1",
+        )
+        assert_one_error_line(code, out, err)
+        assert "m must be <=" in err
+
+    def test_numpy_counts_render(self):
+        config = NetworkConfig(np.int64(1), np.int64(1), 0.6, 0.3, 0.1)
+        payload = json.loads(_render_json(cmd_theory(Scenario(config))))
+        assert payload["config"]["m"] == 1
+        assert payload["theory"]["p"] == 0.75
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "theory.json"
@@ -194,6 +219,18 @@ class TestScenarioFiles:
                            "--slots", "20000")
         assert payload["sim"]["slots"] == 20000
 
+    def test_integer_probabilities_print_as_floats(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"m": 1, "n": 0, "p_A": 0, "p_F": 1, "p_H": 0})
+        code, out, _ = run_cli(capsys, "theory", "--scenario", path)
+        assert code == 0
+        assert '"p_A": 0.0' in out and '"p_F": 1.0' in out
+
+    def test_huge_station_count_exits_two(self, capsys, tmp_path):
+        path = self.write(tmp_path, {"preset": "dca", "m": 10**400, "n": 1})
+        code, out, err = run_cli(capsys, "theory", "--scenario", path)
+        assert_one_error_line(code, out, err)
+        assert "m must be <=" in err
+
     @pytest.mark.parametrize("payload,fragment", [
         ({"m": 1, "n": 1, "p_A": 0.6, "p_F": 0.3, "p_H": 0.1, "extra": 1},
          "unknown scenario fields"),
@@ -208,6 +245,9 @@ class TestScenarioFiles:
          "must be an integer"),
         ({"preset": "dca", "m": 1, "n": 1, "sim": {"slots": 0}}, "sim.slots"),
         ({"preset": "dca", "m": 1, "n": 1, "sim": {"seed": -1}}, "sim.seed"),
+        ({"m": 1, "n": 0, "p_A": False, "p_F": True, "p_H": 0},
+         "p_F must be a number"),
+        ({"preset": ["dca"], "m": 1, "n": 1}, "unknown preset"),
     ])
     def test_rejected_scenarios_exit_two(self, capsys, tmp_path, payload, fragment):
         path = self.write(tmp_path, payload)
@@ -251,9 +291,9 @@ class TestFlagErrors:
         ["theory", "--scenario", "x.json", "--m", "1"],   # file plus flags
     ])
     def test_usage_errors_exit_two(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        # the flags go through the scenario parser, so these are one-line
+        # errors from main(), not argparse usage dumps
+        assert_one_error_line(*run_cli(capsys, *argv))
 
     def test_unknown_flag_exits_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -274,6 +314,86 @@ class TestFlagErrors:
             "--slots", "0",
         )
         assert code == 2
+
+
+def call_main(argv):
+    """main() with its output captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_contract(code, out, err):
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+    else:
+        assert_one_error_line(code, out, err)
+
+
+json_leaves = (
+    st.none() | st.booleans() | st.integers(-3, 3) | st.integers(-10**400, 10**400)
+    | st.floats(0.0, 1.0) | st.floats() | st.text(max_size=4)
+    | st.sampled_from(["dca", "fair"])
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+sim_blocks = st.dictionaries(
+    st.sampled_from(["slots", "warmup", "capacity", "seed", "slot"]), json_values, max_size=3
+)
+small_counts = st.integers(0, 4)
+scenario_json = (
+    json_values
+    | st.dictionaries(
+        st.sampled_from(["preset", "m", "n", "p_A", "p_F", "p_H", "sim", "extra"]),
+        json_values | sim_blocks,
+        max_size=7,
+    )
+    # mostly well-formed, so that the success path is exercised too
+    | st.fixed_dictionaries(
+        {"preset": st.sampled_from(["dca", "fair"]), "m": small_counts, "n": small_counts},
+        optional={"sim": sim_blocks, "p_A": json_values},
+    )
+)
+flag_values = (
+    st.integers(-10**30, 10**400).map(str) | st.floats().map(repr)
+    | st.text(max_size=4).filter(lambda text: not text.startswith("-"))
+    | st.sampled_from(["dca", "fair", "1", "2", "0.5"])
+)
+flag_sets = st.dictionaries(
+    st.sampled_from(["--m", "--n", "--pA", "--pF", "--pH", "--preset"]), flag_values
+) | st.fixed_dictionaries(
+    {"--preset": st.sampled_from(["dca", "fair"]), "--m": flag_values | small_counts.map(str),
+     "--n": small_counts.map(str)},
+    optional={"--pA": flag_values},
+)
+
+
+class TestFuzz:
+    """main() keeps its exit-code contract on any input (theory only, no simulation)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(raw=scenario_json)
+    def test_scenario_files(self, tmp_path_factory, raw):
+        path = tmp_path_factory.getbasetemp() / "fuzz_scenario.json"
+        path.write_text(json.dumps(raw))
+        assert_contract(*call_main(["theory", "--scenario", str(path)]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(flags=flag_sets)
+    def test_config_flags(self, flags):
+        argv = ["theory"] + [item for pair in flags.items() for item in pair]
+        try:
+            result = call_main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2  # argparse refused a value, e.g. --m 1.5
+            return
+        assert_contract(*result)
 
 
 def test_module_entry_point_help():

@@ -188,6 +188,30 @@ class TestRun:
         cfg = dca_config(1, 1)
         assert run(cfg, 100, seed=np.int64(3)) == run(cfg, 100, seed=3)
 
+    def test_numpy_integer_counts_match_int_counts(self):
+        cfg = NetworkConfig(np.int64(1), np.int64(1), 0.6, 0.3, 0.1)
+        assert type(new_sim(cfg).config.m) is int
+        assert run(cfg, 2_000, seed=3) == run(MIXED, 2_000, seed=3)
+
+    @pytest.mark.parametrize("config,expected", [
+        (DCA22, SimStats(
+            total_slots=10_000,
+            down_slots=[1018, 999, 1994, 1990],
+            up_slots=[2013, 1986, 1994, 1990],
+            ap_wins=2017, ap_wins_hd_head=2017, fd_wins_no_packet=3984,
+        )),
+        (MIXED, SimStats(
+            total_slots=10_000,
+            down_slots=[4541, 4503],
+            up_slots=[956, 4503],
+            ap_wins=6048, ap_wins_hd_head=4541, fd_wins_no_packet=1,
+        )),
+    ])
+    def test_random_stream_is_pinned(self, config, expected):
+        # 12 000 slots draw past the 4096-draw block edges of both the
+        # winner and the destination streams; seeded outputs must not move.
+        assert run(config, 10_000, warmup_slots=2_000, seed=3) == expected
+
 
 class TestExactRegimes:
     def test_all_full_duplex_every_slot_carries_two(self):
