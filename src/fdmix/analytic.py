@@ -15,6 +15,7 @@ in the given direction, in steady state.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -52,12 +53,29 @@ def as_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
             raise TypeError
         value = operator.index(value)
     except TypeError:
-        raise InvalidConfigError([f"{name} must be an integer, got {value!r}"]) from None
+        raise InvalidConfigError([f"{name} must be an integer, got {_show(value)}"]) from None
     if value < minimum:
-        raise InvalidConfigError([f"{name} must be >= {minimum}, got {value}"])
+        raise InvalidConfigError([f"{name} must be >= {minimum}, got {_show(value)}"])
     if maximum is not None and value > maximum:
-        raise InvalidConfigError([f"{name} must be <= {maximum}, got {value}"])
+        raise InvalidConfigError([f"{name} must be <= {maximum}, got {_show(value)}"])
     return value
+
+
+def _show(value) -> str:
+    """``repr(value)`` for an error text, never raising.
+
+    An int too long for ``repr`` (Python caps int-to-text conversion at a
+    few thousand digits) is named by its digit count instead.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+        digits = int((size.bit_length() - 1) * math.log10(2))  # at most one short
+        while 10**digits <= size:
+            digits += 1
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {digits} digits"
 
 
 @dataclass(frozen=True)
@@ -112,10 +130,10 @@ def validate(config: NetworkConfig) -> list[str]:
     bad_probs = []
     for name, value in (("p_A", config.p_A), ("p_F", config.p_F), ("p_H", config.p_H)):
         if type(value) is bool or not isinstance(value, (float, int, numbers.Real)):
-            out.append(f"{name} must be a number, got {value!r}")
+            out.append(f"{name} must be a number, got {_show(value)}")
             bad_probs.append(name)
         elif not 0.0 <= value <= 1.0:
-            out.append(f"{name} must lie in [0, 1], got {value!r}")
+            out.append(f"{name} must lie in [0, 1], got {_show(value)}")
             bad_probs.append(name)
     if m == 0 and "p_F" not in bad_probs and config.p_F != 0.0:
         out.append(f"p_F must be 0 when m == 0, got {config.p_F!r}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import sys
 from dataclasses import asdict, dataclass, replace
@@ -221,6 +222,8 @@ def cmd_simulate(scenario: Scenario) -> dict:
 
 def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     """Simulate, judge against the closed form, and return (payload, exit code)."""
+    if not (math.isfinite(z_max) and z_max > 0):
+        raise ValueError(f"z_max must be finite and > 0, got {z_max!r}")
     stats, sim = _simulate(scenario)
     theory = throughputs(scenario.config)
     result = compare(theory, stats, scenario.config, z_max=z_max)

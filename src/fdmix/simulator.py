@@ -19,6 +19,9 @@ One categorical draw decides each slot: the AP transmits with probability
 winning full-duplex station receives its own packet out of turn and answers
 it in the same slot, so its downlink and uplink counts advance together.  A
 winning half-duplex station only uplinks.
+
+:func:`step` plays one slot and is the readable definition; :func:`run`
+plays a whole span from the same draws and returns the same counters.
 """
 
 from __future__ import annotations
@@ -43,9 +46,13 @@ RNG_ALGORITHM = "pcg64"
 _BLOCK = 4096  # draws fetched from numpy per batch
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Packet:
-    """A downlink packet, identified by its destination station."""
+    """A downlink packet, identified by its destination station.
+
+    Slotted, because ``step()`` makes one or two per slot and a caller may
+    keep every outcome.
+    """
 
     dest_class: str  # HD or FD
     dest_index: int  # 0-based within the class
@@ -154,8 +161,16 @@ def new_sim(
     un-consumed part of the backlog.
     """
     require_valid(config)
-    # plain ints keep step()'s arithmetic off numpy scalars
-    config = replace(config, m=int(config.m), n=int(config.n))
+    # plain numbers keep step()'s arithmetic off numpy scalars, whose
+    # precision (float32, say) run()'s float64 arrays would not share
+    config = replace(
+        config,
+        m=int(config.m),
+        n=int(config.n),
+        p_A=float(config.p_A),
+        p_F=float(config.p_F),
+        p_H=float(config.p_H),
+    )
     total = config.m + config.n
     if capacity is None:
         capacity = default_capacity(config)
@@ -253,6 +268,59 @@ def step(state: SimState) -> SlotOutcome:
     return SlotOutcome(HD, None, Packet(HD, j), None)
 
 
+def _winners(cfg: NetworkConfig, u: np.ndarray) -> np.ndarray:
+    """Winner of each slot, picked from ``u`` with the float expressions of
+    ``step()``: -1 for the AP, otherwise the winning station's code."""
+    n, m = cfg.n, cfg.m
+    who = np.full(len(u), -1)
+    station = u >= cfg.p_A
+    if m > 0:
+        fd = station if n == 0 else station & (u < cfg.p_A + m * cfg.p_F)
+        if cfg.p_F > 0.0:
+            # min before truncation equals step()'s min(int(x), m - 1) for x >= 0
+            who[fd] = n + np.minimum((u[fd] - cfg.p_A) / cfg.p_F, m - 1).astype(np.int64)
+        else:
+            who[fd] = n  # unreachable for valid configs; float-spill guard
+        station &= ~fd
+    if n > 0:
+        if cfg.p_H > 0.0:
+            x = (u[station] - cfg.p_A - m * cfg.p_F) / cfg.p_H
+            who[station] = np.minimum(x, n - 1).astype(np.int64)
+        else:
+            who[station] = 0  # unreachable for valid configs; float-spill guard
+    return who
+
+
+def _serve(codes: list[int], entries: deque[int], in_window: list[int],
+           debt: list[int], dests: Iterator[int]) -> tuple[list[int], int]:
+    """Play AP wins (-1) and full-duplex wins (their codes) against the window.
+
+    Returns the popped heads and the number of full-duplex misses.  Mirrors
+    ``step()`` and ``_refill``, with ``in_window`` counting each code in the
+    window and ``debt`` indexed by code.
+    """
+    heads = []
+    misses = 0
+    for code in codes:
+        if code < 0:
+            code = entries.popleft()
+            heads.append(code)
+        elif in_window[code]:
+            entries.remove(code)
+        else:
+            debt[code] += 1
+            misses += 1
+            continue
+        in_window[code] -= 1
+        d = next(dests)
+        while debt[d]:
+            debt[d] -= 1
+            d = next(dests)
+        entries.append(d)
+        in_window[d] += 1
+    return heads, misses
+
+
 def run(
     config: NetworkConfig,
     measured_slots: int,
@@ -265,19 +333,52 @@ def run(
     ``warmup_slots`` defaults to 1% of the measured span, floored at 10^4,
     long enough for the window head composition to forget the uniform
     initial fill.
+
+    The result equals stepping a ``new_sim`` state with :func:`step`, draw
+    for draw.  Each block of winner draws is classified with numpy; a
+    half-duplex win touches no queue, so it is only counted, and Python
+    loops over AP and full-duplex wins alone.
     """
     measured_slots = as_count("measured_slots", measured_slots, 1)
     if warmup_slots is None:
         warmup_slots = default_warmup(measured_slots)
     warmup_slots = as_count("warmup_slots", warmup_slots, 0)
     state = new_sim(config, capacity=capacity, seed=seed)
-    state.measuring = False
-    for _ in range(warmup_slots):
-        step(state)
-    state.measuring = True
-    for _ in range(measured_slots):
-        step(state)
-    return state.stats
+    n = state.config.n
+    total = n + state.config.m
+    entries = state.queue.entries
+    in_window = np.bincount(list(entries), minlength=total).tolist()
+    debt = [0] * total
+    served = np.zeros(total, dtype=np.int64)  # measured AP wins by head code
+    won = np.zeros(total, dtype=np.int64)  # measured station wins by code
+    misses = 0
+    end = warmup_slots + measured_slots
+    for start in range(0, end, _BLOCK):
+        # fetched where step() would fetch it: before this block's refills
+        who = _winners(state.config, state.rng.random(_BLOCK)[: end - start])
+        lo = min(max(warmup_slots - start, 0), len(who))
+        queued = (who < 0) | (who >= n)
+        codes = who[queued].tolist()
+        warm = int(np.count_nonzero(queued[:lo]))
+        _serve(codes[:warm], entries, in_window, debt, state.dests)
+        heads, missed = _serve(codes[warm:], entries, in_window, debt, state.dests)
+        misses += missed
+        if heads:
+            served += np.bincount(heads, minlength=total)
+        measured = who[lo:]
+        won += np.bincount(measured[measured >= 0], minlength=total)
+    down = served.copy()
+    down[n:] += won[n:]
+    up = won.copy()
+    up[n:] += served[n:]
+    return SimStats(
+        total_slots=measured_slots,
+        down_slots=down.tolist(),
+        up_slots=up.tolist(),
+        ap_wins=int(served.sum()),
+        ap_wins_hd_head=int(served[:n].sum()),
+        fd_wins_no_packet=misses,
+    )
 
 
 def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int]]:

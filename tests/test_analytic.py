@@ -20,19 +20,9 @@ from fdmix.analytic import (
     validate,
 )
 
+from strategies import valid_configs
+
 TOL = 1e-12
-
-
-@st.composite
-def valid_configs(draw, max_stations=8):
-    """Configs built from positive weights, so closure holds to float noise."""
-    m = draw(st.integers(0, max_stations))
-    n = draw(st.integers(0 if m > 0 else 1, max_stations))
-    a = draw(st.floats(0.05, 10.0))
-    f = draw(st.floats(0.0, 10.0)) if m > 0 else 0.0
-    h = draw(st.floats(0.0, 10.0)) if n > 0 else 0.0
-    total = a + m * f + n * h
-    return NetworkConfig(m=m, n=n, p_A=a / total, p_F=f / total, p_H=h / total)
 
 
 class TestFrozenValues:
@@ -149,6 +139,18 @@ class TestValidate:
         assert validate(NetworkConfig(1, 1, 10**400, 0.3, 0.1)) == [
             f"p_A must lie in [0, 1], got {10**400}"
         ]
+
+    def test_integer_too_long_to_print_reported_not_raised(self):
+        # Python refuses to turn an int of more than 4300 digits into text,
+        # so the violation names its size instead
+        assert validate(NetworkConfig(-10**5000, 1, 0.5, 0.0, 0.5)) == [
+            "m must be >= 0, got a negative integer of 5001 digits"
+        ]
+        assert validate(NetworkConfig(1, 1, 10**5000, 0.3, 0.1)) == [
+            "p_A must lie in [0, 1], got an integer of 5001 digits"
+        ]
+        with pytest.raises(InvalidConfigError, match="an integer of 5001 digits"):
+            dca_config(10**5000, 1)
 
     def test_bad_count_does_not_cascade(self):
         # m is unusable, so the checks that need m (p_F, closure) are skipped

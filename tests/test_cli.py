@@ -137,6 +137,14 @@ class TestValidate:
         assert code == 1
         assert json.loads(out)["overall"] == "fail"
 
+    @pytest.mark.parametrize("z_max", ["-1", "nan", "0", "inf"])
+    def test_z_max_must_be_finite_and_positive(self, capsys, z_max):
+        # -1, nan and 0 would fail every run and inf would pass every run
+        assert_one_error_line(*run_cli(
+            capsys, "validate", "--preset", "dca", "--m", "1", "--n", "1",
+            "--slots", "100", "--z-max", z_max,
+        ))
+
     def test_not_applicable_rows_have_null_estimates(self, capsys):
         code, out, _ = run_cli(
             capsys, "validate", "--preset", "dca", "--m", "0", "--n", "3",

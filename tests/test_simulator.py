@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from fdmix.analytic import (
     InvalidConfigError,
@@ -31,9 +33,51 @@ from fdmix.simulator import (
 from fdmix.stats import compare
 
 from reference import run_reference
+from strategies import valid_configs
 
 DCA22 = dca_config(2, 2)
 MIXED = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
+
+
+def _stepped(config, slots, warmup, capacity, seed):
+    """SimStats of a fresh ``new_sim`` state advanced with ``step()``."""
+    state = new_sim(config, capacity=capacity, seed=seed)
+    state.measuring = False
+    for _ in range(warmup):
+        step(state)
+    state.measuring = True
+    for _ in range(slots):
+        step(state)
+    return state.stats
+
+
+# The benchmark's network panel, each at seeds 0, 3 and 17 with warmups of
+# 4095, 4096 and 4097 slots: both sides of the 4096-draw block edge.
+_PANEL = {
+    "dca11": dca_config(1, 1),
+    "dca22": DCA22,
+    "dca42": dca_config(4, 2),
+    "fair22": fairness_config(2, 2),
+    "fair42": fairness_config(4, 2),
+    "mixed11": MIXED,
+    "dca401": dca_config(40, 1),
+    "fair2020": fairness_config(20, 20),
+}
+_ORACLE_CASES = [
+    pytest.param(MIXED, 500, 0, 20, 3, id="mixed11-w0-cap20-s3"),
+    *(
+        pytest.param(config, 4_200, warmup, None, seed, id=f"{name}-w{warmup}-s{seed}")
+        for name, config in _PANEL.items()
+        for seed, warmup in ((0, 4095), (3, 4096), (17, 4097))
+    ),
+    pytest.param(DCA22, 4_200, 4096, 1, 3, id="dca22-w4096-cap1-s3"),
+    pytest.param(fairness_config(20, 20), 2_000, 100, 1, 0, id="fair2020-w100-cap1-s0"),
+    pytest.param(NetworkConfig(1, 1, 0.0, 0.5, 0.5), 4_200, 4097, None, 3, id="pA0"),
+    pytest.param(fairness_config(3, 0), 4_200, 4095, 2, 17, id="pA0-n0"),
+    pytest.param(NetworkConfig(1, 2, 0.5, 0.0, 0.25), 4_200, 4096, 3, 0, id="pF0"),
+    pytest.param(dca_config(0, 3), 4_200, 4097, 1, 3, id="m0"),
+    pytest.param(NetworkConfig(2, 0, 0.5, 0.25, 0.0), 4_200, 4095, None, 17, id="n0"),
+]
 
 
 class TestConstruction:
@@ -159,12 +203,11 @@ class TestRun:
         b = run(DCA22, 5_000, warmup_slots=100, seed=3)
         assert a == b
 
-    def test_matches_manual_stepping(self):
-        stats = run(MIXED, 500, warmup_slots=0, capacity=20, seed=3)
-        state = new_sim(MIXED, capacity=20, seed=3)
-        for _ in range(500):
-            step(state)
-        assert stats == state.stats
+    @pytest.mark.parametrize("config,slots,warmup,capacity,seed", _ORACLE_CASES)
+    def test_matches_manual_stepping(self, config, slots, warmup, capacity, seed):
+        # step() is the oracle: run() must give its counters draw for draw
+        stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
+        assert stats == _stepped(config, slots, warmup, capacity, seed)
 
     def test_warmup_slots_not_counted(self):
         stats = run(DCA22, 1_000, warmup_slots=777, seed=0)
@@ -193,6 +236,12 @@ class TestRun:
         assert type(new_sim(cfg).config.m) is int
         assert run(cfg, 2_000, seed=3) == run(MIXED, 2_000, seed=3)
 
+    def test_numpy_float_probabilities_become_plain_floats(self):
+        # step() would otherwise compute in float32, run() in float64
+        cfg = NetworkConfig(1, 1, np.float32(0.6), np.float32(0.3), np.float32(0.1))
+        assert type(new_sim(cfg).config.p_A) is float
+        assert run(cfg, 2_000, warmup_slots=0, seed=3) == _stepped(cfg, 2_000, 0, None, 3)
+
     @pytest.mark.parametrize("config,expected", [
         (DCA22, SimStats(
             total_slots=10_000,
@@ -211,6 +260,39 @@ class TestRun:
         # 12 000 slots draw past the 4096-draw block edges of both the
         # winner and the destination streams; seeded outputs must not move.
         assert run(config, 10_000, warmup_slots=2_000, seed=3) == expected
+
+
+_spans = {
+    "slots": st.integers(1, 3_000),
+    "warmup": st.integers(0, 5_000),
+    "capacity": st.one_of(st.none(), st.integers(1, 60)),
+    "seed": st.integers(0, 2**32),
+}
+
+
+class TestRunProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(config=valid_configs(), **_spans)
+    def test_counter_identities(self, config, slots, warmup, capacity, seed):
+        stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
+        n = config.n
+        down, up = stats.down_slots, stats.up_slots
+        assert stats.total_slots == slots
+        # a full-duplex station's downlinks are all answered in the same slot
+        assert down[n:] == up[n:]
+        fd_wins = sum(up[n:]) - (stats.ap_wins - stats.ap_wins_hd_head)
+        hd_wins = sum(up[:n])
+        assert sum(down) == stats.ap_wins + fd_wins
+        assert stats.ap_wins + fd_wins + hd_wins == stats.total_slots
+        assert 0 <= stats.fd_wins_no_packet <= fd_wins
+        flow_counts(stats, config)
+        compare(throughputs(config), stats, config)
+
+    @settings(max_examples=30, deadline=None)
+    @given(config=valid_configs(), **_spans)
+    def test_matches_step_on_random_networks(self, config, slots, warmup, capacity, seed):
+        stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
+        assert stats == _stepped(config, slots, warmup, capacity, seed)
 
 
 class TestExactRegimes:
