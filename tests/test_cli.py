@@ -332,8 +332,8 @@ def call_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_contract(code, out, err):
-    if code == 0:
+def assert_contract(code, out, err, ok=(0,)):
+    if code in ok:
         json.loads(out)
         assert err == ""
     else:
@@ -380,10 +380,38 @@ flag_sets = st.dictionaries(
      "--n": small_counts.map(str)},
     optional={"--pA": flag_values},
 )
+# Short simulations only: small station counts, capacities and spans.
+prob_values = st.floats(0.0, 1.0).map(repr) | st.floats().map(repr) | st.sampled_from(
+    ["0", "0.2", "0.25", "0.5", "1"]
+)
+network_flags = st.fixed_dictionaries(
+    {"--preset": st.sampled_from(["dca", "fair"]), "--m": small_counts.map(str),
+     "--n": small_counts.map(str)}
+) | st.fixed_dictionaries(
+    {"--m": small_counts.map(str), "--n": small_counts.map(str),
+     "--pA": prob_values, "--pF": prob_values, "--pH": prob_values}
+)
+# mostly in range, so that most examples simulate
+sim_flags = st.fixed_dictionaries({
+    "--slots": (st.integers(1, 50) | st.integers(-1, 50)).map(str),
+    "--warmup": (st.integers(0, 200) | st.integers(-1, 200)).map(str),
+    "--capacity": (st.integers(1, 60) | st.integers(-1, 60)).map(str),
+    "--seed": (st.integers(0, 2**64) | st.integers(-10**30, 10**400)).map(str),
+})
+
+
+def call_main_with_flags(command, *flag_dicts):
+    """main() on ``--flag=value`` arguments; argparse refusals count as exit 2."""
+    argv = [command] + [f"{k}={v}" for flags in flag_dicts for k, v in flags.items()]
+    try:
+        return call_main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2  # argparse refused a value, e.g. --m=1.5
+        return None
 
 
 class TestFuzz:
-    """main() keeps its exit-code contract on any input (theory only, no simulation)."""
+    """main() keeps its exit-code contract on any input."""
 
     @settings(max_examples=150, deadline=None)
     @given(raw=scenario_json)
@@ -395,13 +423,25 @@ class TestFuzz:
     @settings(max_examples=150, deadline=None)
     @given(flags=flag_sets)
     def test_config_flags(self, flags):
-        argv = ["theory"] + [item for pair in flags.items() for item in pair]
-        try:
-            result = call_main(argv)
-        except SystemExit as exc:
-            assert exc.code == 2  # argparse refused a value, e.g. --m 1.5
-            return
-        assert_contract(*result)
+        result = call_main_with_flags("theory", flags)
+        if result is not None:
+            assert_contract(*result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(network=network_flags, sim=sim_flags)
+    def test_simulate_flags(self, network, sim):
+        result = call_main_with_flags("simulate", network, sim)
+        if result is not None:
+            assert_contract(*result)
+
+    @settings(max_examples=100, deadline=None)
+    @given(network=network_flags, sim=sim_flags,
+           z_max=st.sampled_from([{}, {"--z-max": "4"}, {"--z-max": "0.5"}, {"--z-max": "nan"}]))
+    def test_validate_flags(self, network, sim, z_max):
+        # 1 is a statistical mismatch, with the JSON payload on stdout
+        result = call_main_with_flags("validate", network, sim, z_max)
+        if result is not None:
+            assert_contract(*result, ok=(0, 1))
 
 
 def test_module_entry_point_help():

@@ -1,6 +1,7 @@
 """Slot simulator: determinism, step invariants, conservation, convergence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,13 @@ _ORACLE_CASES = [
     pytest.param(NetworkConfig(1, 2, 0.5, 0.0, 0.25), 4_200, 4096, 3, 0, id="pF0"),
     pytest.param(dca_config(0, 3), 4_200, 4097, 1, 3, id="m0"),
     pytest.param(NetworkConfig(2, 0, 0.5, 0.25, 0.0), 4_200, 4095, None, 17, id="n0"),
+    # Crowded networks, where most queue events are full-duplex hits; each
+    # spans over 3 x 4096 slots, so run() drops the served prefix of its
+    # window in several blocks.
+    pytest.param(dca_config(200, 1), 8_400, 4097, None, 1, id="dca2001-w4097-s1"),
+    pytest.param(dca_config(100, 100), 8_400, 4095, None, 3, id="dca100100-w4095-s3"),
+    pytest.param(dca_config(100, 100), 8_400, 4096, 50, 17, id="dca100100-w4096-cap50-s17"),
+    pytest.param(dca_config(40, 1), 8_400, 4097, 1, 0, id="dca401-w4097-cap1-s0"),
 ]
 
 
@@ -241,6 +249,18 @@ class TestRun:
         cfg = NetworkConfig(1, 1, np.float32(0.6), np.float32(0.3), np.float32(0.1))
         assert type(new_sim(cfg).config.p_A) is float
         assert run(cfg, 2_000, warmup_slots=0, seed=3) == _stepped(cfg, 2_000, 0, None, 3)
+
+    def test_window_memory_is_bounded(self):
+        # run() drops the served part of its window after each block, so it
+        # holds the window and one block of refills, never every refill made
+        run(MIXED, 1_000, warmup_slots=0, seed=3)  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            run(MIXED, 150_000, warmup_slots=0, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 750_000
 
     @pytest.mark.parametrize("config,expected", [
         (DCA22, SimStats(
