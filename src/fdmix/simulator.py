@@ -291,42 +291,50 @@ def _winners(cfg: NetworkConfig, u: np.ndarray) -> np.ndarray:
     return who
 
 
-def _serve(codes: list[int], slots: list[int], base: int, where: list[deque[int]],
-           debt: list[int], dests: Iterator[int]) -> tuple[list[int], int, int]:
+def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: list[int],
+           debt: list[int], dests: Iterator[int]) -> tuple[list[int], int]:
     """Play AP wins (-1) and full-duplex wins (their codes) against the window.
 
-    Mirrors ``step()`` and ``_refill``.  ``slots`` holds the window in arrival
-    order, -1 where a packet left out of turn; ``where`` queues each code's
-    positions in it, offset by ``base``, so a hit pops its oldest match with
-    no scan.  Returns the served prefix (heads and -1s), cut from ``slots``;
-    the full-duplex misses; and the new ``base``.  ``debt`` is indexed by code.
+    Returns the popped heads and the number of full-duplex misses.  Mirrors
+    ``step()`` and ``_refill``, with ``in_window`` counting each code in the
+    window and ``debt`` indexed by code.  A full-duplex hit leaves its packet
+    in ``entries`` and counts it in ``gone``: the oldest packets of a code
+    are the ones taken, so the head skips the first ``gone[code]`` it meets.
     """
-    head = misses = 0
-    end = base + len(slots)
+    heads = []
+    misses = 0
     for code in codes:
         if code < 0:
-            code = slots[head]
-            while code < 0:
-                head += 1
-                code = slots[head]
-            head += 1
-            where[code].popleft()
-        elif where[code]:
-            slots[where[code].popleft() - base] = -1
+            code = entries.popleft()
+            while gone[code]:
+                gone[code] -= 1
+                code = entries.popleft()
+            heads.append(code)
+        elif in_window[code]:
+            gone[code] += 1
         else:
             debt[code] += 1
             misses += 1
             continue
+        in_window[code] -= 1
         d = next(dests)
         while debt[d]:
             debt[d] -= 1
             d = next(dests)
-        where[d].append(end)
-        end += 1
-        slots.append(d)
-    done = slots[:head]
-    del slots[:head]
-    return done, misses, base + head
+        entries.append(d)
+        in_window[d] += 1
+    return heads, misses
+
+
+def _compact(entries: deque[int], gone: list[int]) -> deque[int]:
+    """``entries`` without the packets ``gone`` counts; zeroes ``gone``."""
+    kept: deque[int] = deque()
+    for code in entries:
+        if gone[code]:
+            gone[code] -= 1
+        else:
+            kept.append(code)
+    return kept
 
 
 def run(
@@ -355,11 +363,9 @@ def run(
     state = new_sim(config, capacity=capacity, seed=seed)
     n = state.config.n
     total = n + state.config.m
-    slots = list(state.queue.entries)
-    where: list[deque[int]] = [deque() for _ in range(total)]
-    for i, code in enumerate(slots):
-        where[code].append(i)
-    base = 0  # position of slots[0]
+    entries = state.queue.entries
+    in_window = np.bincount(list(entries), minlength=total).tolist()
+    gone = [0] * total  # hit packets still in entries, per code
     debt = [0] * total
     served = np.zeros(total, dtype=np.int64)  # measured AP wins by head code
     won = np.zeros(total, dtype=np.int64)  # measured station wins by code
@@ -372,11 +378,13 @@ def run(
         queued = (who < 0) | (who >= n)
         codes = who[queued].tolist()
         warm = int(np.count_nonzero(queued[:lo]))
-        base = _serve(codes[:warm], slots, base, where, debt, state.dests)[2]
-        done, missed, base = _serve(codes[warm:], slots, base, where, debt, state.dests)
+        _serve(codes[:warm], entries, in_window, gone, debt, state.dests)
+        heads, missed = _serve(codes[warm:], entries, in_window, gone, debt, state.dests)
         misses += missed
-        heads = np.array(done, dtype=np.int64)
-        served += np.bincount(heads[heads >= 0], minlength=total)
+        if len(entries) > 4 * state.queue.capacity:  # amortised O(1) per hit
+            entries = _compact(entries, gone)
+        if heads:
+            served += np.bincount(heads, minlength=total)
         measured = who[lo:]
         won += np.bincount(measured[measured >= 0], minlength=total)
     down = served.copy()

@@ -370,7 +370,7 @@ scenario_json = (
 )
 flag_values = (
     st.integers(-10**30, 10**400).map(str) | st.floats().map(repr)
-    | st.text(max_size=4).filter(lambda text: not text.startswith("-"))
+    | st.text(max_size=4)
     | st.sampled_from(["dca", "fair", "1", "2", "0.5"])
 )
 flag_sets = st.dictionaries(

@@ -85,6 +85,11 @@ _ORACLE_CASES = [
     pytest.param(dca_config(100, 100), 8_400, 4095, None, 3, id="dca100100-w4095-s3"),
     pytest.param(dca_config(100, 100), 8_400, 4096, 50, 17, id="dca100100-w4096-cap50-s17"),
     pytest.param(dca_config(40, 1), 8_400, 4097, 1, 0, id="dca401-w4097-cap1-s0"),
+    # An old head held back by a rare AP win while hits pile up behind it:
+    # run() compacts its window, and later AP wins and hits use what it kept.
+    pytest.param(dca_config(300, 0), 8_400, 4097, 50, 3, id="dca3000-w4097-cap50-s3"),
+    pytest.param(dca_config(200, 1), 8_400, 4097, 30, 1, id="dca2001-w4097-cap30-s1"),
+    pytest.param(dca_config(100, 1), 8_400, 4097, 100, 3, id="dca1001-w4097-cap100-s3"),
 ]
 
 
@@ -250,17 +255,25 @@ class TestRun:
         assert type(new_sim(cfg).config.p_A) is float
         assert run(cfg, 2_000, warmup_slots=0, seed=3) == _stepped(cfg, 2_000, 0, None, 3)
 
-    def test_window_memory_is_bounded(self):
-        # run() drops the served part of its window after each block, so it
-        # holds the window and one block of refills, never every refill made
-        run(MIXED, 1_000, warmup_slots=0, seed=3)  # first-call imports and caches
+    @pytest.mark.parametrize("config,slots,capacity", [
+        (MIXED, 150_000, None),
+        # p_A == 0: the head never moves, so only compaction drops hit packets
+        (fairness_config(3, 0), 300_000, None),
+        # per-station state stays a few ints, whatever the window size
+        (dca_config(20_000, 1), 100, 1),
+    ], ids=["mixed11", "fair30", "dca200001-cap1"])
+    def test_window_memory_is_bounded(self, config, slots, capacity):
+        # run() leaves a hit packet in its window until the head reaches it,
+        # and compacts the window once such packets outnumber three windows,
+        # so it holds a few windows, never every refill made
+        run(config, 1_000, warmup_slots=0, capacity=capacity, seed=3)  # imports, caches
         tracemalloc.start()
         try:
-            run(MIXED, 150_000, warmup_slots=0, seed=3)
+            run(config, slots, warmup_slots=0, capacity=capacity, seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 750_000
+        assert peak < 750_000 + 150 * (config.m + config.n)
 
     @pytest.mark.parametrize("config,expected", [
         (DCA22, SimStats(
