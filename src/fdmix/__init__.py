@@ -4,65 +4,6 @@ One full-duplex access point serves m full-duplex and n half-duplex
 stations under slotted random access.  :mod:`fdmix.analytic` holds the
 closed-form steady-state flows, :mod:`fdmix.simulator` an independent
 slot-by-slot Monte Carlo check, :mod:`fdmix.stats` the comparison between
-the two, and :mod:`fdmix.cli` the command line front end.
+the two, and :mod:`fdmix.cli` the command line front end.  Import each
+name from the module that defines it; the package itself exports none.
 """
-
-from .analytic import (
-    CLOSURE_TOL,
-    InvalidConfigError,
-    NetworkConfig,
-    ThroughputReport,
-    dca_config,
-    dca_gain,
-    fairness_config,
-    head_fraction,
-    require_valid,
-    throughputs,
-    validate,
-)
-from .simulator import (
-    ApQueue,
-    Packet,
-    SimState,
-    SimStats,
-    SlotOutcome,
-    empirical_report,
-    new_sim,
-    run,
-    step,
-)
-from .stats import (
-    ComparisonResult,
-    FlowComparison,
-    FlowEstimate,
-    compare,
-    estimate,
-)
-
-__all__ = [
-    "CLOSURE_TOL",
-    "InvalidConfigError",
-    "NetworkConfig",
-    "ThroughputReport",
-    "dca_config",
-    "dca_gain",
-    "fairness_config",
-    "head_fraction",
-    "require_valid",
-    "throughputs",
-    "validate",
-    "ApQueue",
-    "Packet",
-    "SimState",
-    "SimStats",
-    "SlotOutcome",
-    "empirical_report",
-    "new_sim",
-    "run",
-    "step",
-    "ComparisonResult",
-    "FlowComparison",
-    "FlowEstimate",
-    "compare",
-    "estimate",
-]

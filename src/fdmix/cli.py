@@ -6,7 +6,7 @@ by a JSON scenario file.  Floats in every output are rendered with 12
 significant digits so that repeated runs are byte-identical.
 
 Exit codes: 0 on success, 1 when ``validate`` finds a statistical mismatch,
-2 on bad usage or an invalid configuration.
+2 on bad usage, an invalid configuration or too little memory.
 """
 
 from __future__ import annotations
@@ -342,6 +342,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except (ValueError, OSError) as exc:
         print(f"fdmix: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("fdmix: error: out of memory for this network and window", file=sys.stderr)
         return 2
 
 

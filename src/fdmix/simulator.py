@@ -434,7 +434,7 @@ def empirical_report(stats: SimStats, config: NetworkConfig) -> ThroughputReport
     """
     counts = flow_counts(stats, config)
     mean = {name: count / trials for name, (count, trials) in counts.items()}
-    packets = sum(count for name, (count, _) in counts.items() if name != "p")
+    packets = sum(stats.down_slots) + sum(stats.up_slots)
     return ThroughputReport(
         p=mean.get("p", 0.0),
         hd_down=mean.get("hd_down", 0.0),

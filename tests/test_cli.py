@@ -2,15 +2,18 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import fdmix
 from fdmix.analytic import NetworkConfig
 from fdmix.cli import _CSV_COLUMNS, Scenario, _render_json, cmd_theory, main
 
@@ -155,6 +158,20 @@ class TestValidate:
         assert flows["fd_down"]["verdict"] == "not applicable"
         assert flows["fd_down"]["mean"] is None
         assert flows["fd_down"]["z"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["--preset", "dca", "--m", "0", "--n", "3", "--slots", "1"],
+        ["--preset", "dca", "--m", "1", "--n", "1", "--slots", "1"],
+        ["--preset", "fair", "--m", "2", "--n", "2", "--slots", "3", "--seed", "1"],
+    ])
+    def test_short_runs_judge_zero_error_flows_at_the_theory(self, capsys, argv):
+        # every trial of a flow alike gives it zero standard error; it is
+        # judged by the binomial error at the theory value, not by equality
+        code, out, err = run_cli(capsys, "validate", *argv)
+        assert code == 0, out
+        flows = json.loads(out)["flows"]
+        assert all(f["verdict"] != "fail" for f in flows)
+        assert any(f["std_error"] == 0.0 and f["z"] is not None for f in flows)
 
 
 class TestSweep:
@@ -323,6 +340,15 @@ class TestFlagErrors:
         )
         assert code == 2
 
+    def test_out_of_memory_exits_two(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("fdmix.cli.run", exhausted)
+        assert_one_error_line(*run_cli(
+            capsys, "simulate", "--preset", "dca", "--m", str(10**15), "--n", "1",
+            "--slots", "1", "--capacity", "1",
+        ))
+
 
 def call_main(argv):
     """main() with its output captured: (exit code, stdout, stderr)."""
@@ -445,10 +471,13 @@ class TestFuzz:
 
 
 def test_module_entry_point_help():
+    # the child imports the fdmix this suite imports, installed or not
+    path = [str(Path(fdmix.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     proc = subprocess.run(
         [sys.executable, "-m", "fdmix.cli", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
     assert proc.returncode == 0
     for word in ("theory", "simulate", "sweep", "validate"):

@@ -99,6 +99,24 @@ class TestCompare:
         assert flows["sum"].z is None
         assert flows["sum"].verdict == PASS
 
+    def test_degenerate_estimate_judged_at_theory_error(self):
+        # one slot of dca(0,3) won by a half-duplex station: no downlink and
+        # one uplink, so hd_down and the aggregate have zero standard error
+        cfg = dca_config(0, 3)
+        theory = throughputs(cfg)
+        stats = SimStats(total_slots=1, down_slots=[0, 0, 0], up_slots=[1, 0, 0])
+        flows = _by_name(compare(theory, stats, cfg))
+        hd_down = flows["hd_down"]
+        assert hd_down.estimate == FlowEstimate(mean=0.0, std_error=0.0)
+        q = theory.hd_down
+        assert hd_down.z == pytest.approx(-q / math.sqrt(q * (1 - q) / 3))
+        assert hd_down.verdict == PASS
+        down, up = 3 * theory.hd_down, 3 * theory.hd_up
+        error = math.hypot(math.sqrt(down * (1 - down)), math.sqrt(up * (1 - up)))
+        assert flows["sum"].estimate == FlowEstimate(mean=1.0, std_error=0.0)
+        assert flows["sum"].z == pytest.approx((1.0 - theory.sum) / error)
+        assert compare(theory, stats, cfg).overall
+
     def test_degenerate_estimate_fails_on_any_gap(self):
         cfg = fairness_config(3, 0)
         stats = run(cfg, 20_000, seed=1)
