@@ -48,6 +48,8 @@ def as_count(name: str, value, minimum: int, maximum: int | None = None) -> int:
     non-integral values such as ``2.0`` are rejected.  Raises
     :class:`InvalidConfigError` naming ``name``.
     """
+    if type(value) is int and minimum <= value and (maximum is None or value <= maximum):
+        return value
     try:
         if type(value) is bool:
             raise TypeError
@@ -122,31 +124,77 @@ def validate(config: NetworkConfig) -> list[str]:
     for probabilities: a real number in [0, 1], integral ones included,
     but not ``bool``.
     """
+    if _plain_and_valid(config.m, config.n, config.p_A, config.p_F, config.p_H):
+        return []
     out: list[str] = []
     m = _count_or_none("m", config.m, out)
     n = _count_or_none("n", config.n, out)
-    if m is not None and n is not None and m + n < 1:
+    if m is not None and n is not None and not _has_station(m, n):
         out.append("need at least one station (m + n >= 1)")
     bad_probs = []
     for name, value in (("p_A", config.p_A), ("p_F", config.p_F), ("p_H", config.p_H)):
         if type(value) is bool or not isinstance(value, (float, int, numbers.Real)):
             out.append(f"{name} must be a number, got {_show(value)}")
             bad_probs.append(name)
-        elif not 0.0 <= value <= 1.0:
+        elif not _in_unit_interval(value):
             out.append(f"{name} must lie in [0, 1], got {_show(value)}")
             bad_probs.append(name)
-    if m == 0 and "p_F" not in bad_probs and config.p_F != 0.0:
+    if m is not None and "p_F" not in bad_probs and not _silent_if_absent(m, config.p_F):
         out.append(f"p_F must be 0 when m == 0, got {config.p_F!r}")
-    if n == 0 and "p_H" not in bad_probs and config.p_H != 0.0:
+    if n is not None and "p_H" not in bad_probs and not _silent_if_absent(n, config.p_H):
         out.append(f"p_H must be 0 when n == 0, got {config.p_H!r}")
     if m is None or n is None or bad_probs:
         return out
-    closure = config.p_A + m * config.p_F + n * config.p_H
-    if abs(closure - 1.0) > CLOSURE_TOL:
+    closure = _closure(m, n, config.p_A, config.p_F, config.p_H)
+    if not _closes(closure):
         out.append(
             f"p_A + m*p_F + n*p_H must equal 1 within {CLOSURE_TOL}, got {closure!r}"
         )
     return out
+
+
+# The rules of validate() on values of the right type.  validate() reports
+# which of them fail; _plain_and_valid() asks only whether all of them hold.
+
+
+def _is_station_count(value: int) -> bool:
+    return 0 <= value <= MAX_STATIONS
+
+
+def _has_station(m: int, n: int) -> bool:
+    return m + n >= 1
+
+
+def _in_unit_interval(value) -> bool:
+    return 0.0 <= value <= 1.0
+
+
+def _silent_if_absent(count: int, probability) -> bool:
+    """An absent station class never transmits."""
+    return count != 0 or probability == 0.0
+
+
+def _closure(m: int, n: int, p_A, p_F, p_H):
+    return p_A + m * p_F + n * p_H
+
+
+def _closes(closure) -> bool:
+    return abs(closure - 1.0) <= CLOSURE_TOL
+
+
+def _plain_and_valid(m, n, p_A, p_F, p_H) -> bool:
+    """True when the counts are plain ``int``, the probabilities plain
+    ``float``, and every rule holds.  False sends the caller to the
+    reporting path of :func:`validate`, which applies the same rules.
+    """
+    return (
+        type(m) is int and type(n) is int
+        and type(p_A) is float and type(p_F) is float and type(p_H) is float
+        and _is_station_count(m) and _is_station_count(n) and _has_station(m, n)
+        and _in_unit_interval(p_A) and _in_unit_interval(p_F) and _in_unit_interval(p_H)
+        and _silent_if_absent(m, p_F) and _silent_if_absent(n, p_H)
+        and _closes(_closure(m, n, p_A, p_F, p_H))
+    )
 
 
 def _count_or_none(name: str, value, out: list[str]) -> int | None:
@@ -165,6 +213,18 @@ def require_valid(config: NetworkConfig) -> NetworkConfig:
     return config
 
 
+def _plain_numbers(config: NetworkConfig) -> tuple[int, int, float, float, float]:
+    """``(m, n, p_A, p_F, p_H)`` of a valid config as plain ``int`` and ``float``.
+
+    Raises :class:`InvalidConfigError` when ``config`` is invalid.
+    """
+    m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
+    if _plain_and_valid(m, n, p_A, p_F, p_H):
+        return m, n, p_A, p_F, p_H
+    require_valid(config)
+    return operator.index(m), operator.index(n), float(p_A), float(p_F), float(p_H)
+
+
 def head_fraction(config: NetworkConfig) -> float:
     """Stationary probability that the AP queue head targets a half-duplex station.
 
@@ -177,15 +237,19 @@ def head_fraction(config: NetworkConfig) -> float:
     stations, 0 when there are no half-duplex stations, and 0 when the AP
     never transmits (the queue head is then never observed).
     """
-    require_valid(config)
-    if config.m == 0:
+    m, n, p_A, p_F, _ = _plain_numbers(config)
+    return _head_fraction(m, n, p_A, p_F)
+
+
+def _head_fraction(m: int, n: int, p_A: float, p_F: float) -> float:
+    if m == 0:
         return 1.0
-    if config.n == 0:
+    if n == 0:
         return 0.0
-    if config.p_A == 0.0:
+    if p_A == 0.0:
         return 0.0
-    share = config.n / (config.n + config.m)
-    pressure = (config.p_A + config.m * config.p_F) / config.p_A
+    share = n / (n + m)
+    pressure = (p_A + m * p_F) / p_A
     raw = share * pressure
     if raw >= 1.0 - _SNAP_TOL:
         return 1.0
@@ -193,26 +257,19 @@ def head_fraction(config: NetworkConfig) -> float:
 
 
 def throughputs(config: NetworkConfig) -> ThroughputReport:
-    """Closed-form per-station flows for ``config``.
+    """Closed-form per-station flows for ``config``, as plain floats.
 
     Flows of an absent station class are reported as 0.  ``fd_down`` and
     ``fd_up`` are equal by construction: a full-duplex downlink is answered
     by an uplink in the same slot and vice versa.
     """
-    p = head_fraction(config)  # validates config
-    m, n = config.m, config.n
-    hd_down = config.p_A * p / n if n > 0 else 0.0
-    hd_up = config.p_H if n > 0 else 0.0
-    fd = config.p_A * (1.0 - p) / m + config.p_F if m > 0 else 0.0
-    total = 1.0 + m * config.p_F + config.p_A * (1.0 - p)
-    return ThroughputReport(
-        p=p,
-        hd_down=hd_down,
-        hd_up=hd_up,
-        fd_down=fd,
-        fd_up=fd,
-        sum=total,
-    )
+    m, n, p_A, p_F, p_H = _plain_numbers(config)
+    p = _head_fraction(m, n, p_A, p_F)
+    hd_down = p_A * p / n if n > 0 else 0.0
+    hd_up = p_H if n > 0 else 0.0
+    fd = p_A * (1.0 - p) / m + p_F if m > 0 else 0.0
+    total = 1.0 + m * p_F + p_A * (1.0 - p)
+    return ThroughputReport(p, hd_down, hd_up, fd, fd, total)
 
 
 def _station_counts(m, n) -> tuple[int, int]:
@@ -231,13 +288,7 @@ def dca_config(m: int, n: int) -> NetworkConfig:
     """
     m, n = _station_counts(m, n)
     q = 1.0 / (1 + m + n)
-    return NetworkConfig(
-        m=m,
-        n=n,
-        p_A=q,
-        p_F=q if m > 0 else 0.0,
-        p_H=q if n > 0 else 0.0,
-    )
+    return NetworkConfig(m, n, q, q if m > 0 else 0.0, q if n > 0 else 0.0)
 
 
 def fairness_config(m: int, n: int) -> NetworkConfig:
@@ -251,15 +302,9 @@ def fairness_config(m: int, n: int) -> NetworkConfig:
     """
     m, n = _station_counts(m, n)
     if n == 0:
-        return NetworkConfig(m=m, n=0, p_A=0.0, p_F=1.0 / m, p_H=0.0)
+        return NetworkConfig(m, 0, 0.0, 1.0 / m, 0.0)
     denom = 2 * n + m
-    return NetworkConfig(
-        m=m,
-        n=n,
-        p_A=n / denom,
-        p_F=1.0 / denom if m > 0 else 0.0,
-        p_H=1.0 / denom,
-    )
+    return NetworkConfig(m, n, n / denom, 1.0 / denom if m > 0 else 0.0, 1.0 / denom)
 
 
 def dca_gain(m: int, n: int) -> float:

@@ -12,12 +12,15 @@ Exit codes: 0 on success, 1 when ``validate`` finds a statistical mismatch,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
+import numbers
 import operator
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .analytic import (
     NetworkConfig,
@@ -27,15 +30,11 @@ from .analytic import (
     require_valid,
     throughputs,
 )
-from .simulator import (
-    RNG_ALGORITHM,
-    SimStats,
-    default_capacity,
-    default_warmup,
-    empirical_report,
-    run,
-)
-from .stats import compare
+
+# The simulator and the judge import numpy, which theory and sweep do not
+# need, so only the commands that simulate import them, when they run.
+if TYPE_CHECKING:
+    from .simulator import SimStats
 
 DEFAULT_SLOTS = 1_000_000
 
@@ -81,7 +80,9 @@ def _round_floats(value):
         return {key: _round_floats(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_round_floats(item) for item in value]
-    return value
+    if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Real):
+        return value
+    return float(_sig(float(value)))  # other reals, such as np.float32
 
 
 def _render_json(payload: dict) -> str:
@@ -169,6 +170,8 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
 
 def _sim_payload(scenario: Scenario) -> dict:
     """The simulation parameters with every default resolved."""
+    from .simulator import RNG_ALGORITHM, default_capacity, default_warmup
+
     warmup, capacity = scenario.warmup, scenario.capacity
     return {
         "slots": scenario.slots,
@@ -191,6 +194,8 @@ def cmd_theory(scenario: Scenario) -> dict:
 
 def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
     """Run the scenario; also return the resolved parameters it ran with."""
+    from .simulator import run
+
     sim = _sim_payload(scenario)
     stats = run(
         scenario.config,
@@ -204,6 +209,8 @@ def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
 
 def cmd_simulate(scenario: Scenario) -> dict:
     """Run the slot simulator and report empirical flows plus counters."""
+    from .simulator import empirical_report
+
     stats, sim = _simulate(scenario)
     report = empirical_report(stats, scenario.config)
     return {
@@ -224,6 +231,8 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     """Simulate, judge against the closed form, and return (payload, exit code)."""
     if not (math.isfinite(z_max) and z_max > 0):
         raise ValueError(f"z_max must be finite and > 0, got {z_max!r}")
+    from .stats import compare
+
     stats, sim = _simulate(scenario)
     theory = throughputs(scenario.config)
     result = compare(theory, stats, scenario.config, z_max=z_max)
@@ -280,6 +289,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the fdmix command line."""
     parser = argparse.ArgumentParser(
         prog="fdmix",
         description=(
@@ -324,8 +334,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Building the parser costs more than a theory call; parse_args leaves
+    # it unchanged, so every main() call in a process shares one.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "sweep":
             _emit(cmd_sweep(args.total_stations), args.out)

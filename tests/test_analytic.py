@@ -1,6 +1,8 @@
 """Closed-form model: frozen values, edge conventions, structural properties."""
 
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,6 +25,17 @@ from fdmix.analytic import (
 from strategies import valid_configs
 
 TOL = 1e-12
+
+# Mostly invalid configs, with values near every rule's edge.
+probabilities = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 1e-9, -0.0, math.nan]) | st.floats()
+any_configs = st.builds(
+    NetworkConfig,
+    st.integers(-2, 4) | st.sampled_from([2**53, 2**53 + 1]),
+    st.integers(-2, 4),
+    probabilities,
+    probabilities,
+    probabilities,
+)
 
 
 class TestFrozenValues:
@@ -171,6 +184,65 @@ class TestValidate:
         with pytest.raises(InvalidConfigError):
             throughputs(NetworkConfig(1, 1, 0.9, 0.9, 0.9))
 
+    # Plain int and float configs that break a rule, plus the types the
+    # plain-number path must hand to the reporting path.
+    @pytest.mark.parametrize("values,violations", [
+        ((True, 1, 0.5, 0.0, 0.5), ["m must be an integer, got True"]),
+        ((1, np.bool_(True), 0.5, 0.0, 0.5), ["n must be an integer, got np.True_"]),
+        ((1, 1, True, 0.0, 0.0), ["p_A must be a number, got True"]),
+        ((1, 1, np.bool_(True), 0.0, 0.0), ["p_A must be a number, got np.True_"]),
+        ((1, 1, "a", 0.3, 0.1), ["p_A must be a number, got 'a'"]),
+        ((1, 1, math.nan, 0.3, 0.1), ["p_A must lie in [0, 1], got nan"]),
+        ((1, 1, 0.6, math.nan, 0.1), ["p_F must lie in [0, 1], got nan"]),
+        ((-1, 2, 0.5, 0.0, 0.25), ["m must be >= 0, got -1"]),
+        ((2**53 + 1, 1, 0.5, 0.0, 0.5), [f"m must be <= {2**53}, got {2**53 + 1}"]),
+        ((1, 10**5000, 0.5, 0.5, 0.0),
+         [f"n must be <= {2**53}, got an integer of 5001 digits"]),
+        ((1, 1, 0.5, 0.25, 0.25 + 2e-9),
+         ["p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.000000002"]),
+        ((0, 2, 0.5, 0.1, 0.25), ["p_F must be 0 when m == 0, got 0.1"]),
+        ((2, 0, 0.5, 0.25, 0.1), ["p_H must be 0 when n == 0, got 0.1"]),
+        ((0, 0, 1.0, 0.0, 0.0), ["need at least one station (m + n >= 1)"]),
+        ((-1, 0, 2.0, 0.0, 0.5), [
+            "m must be >= 0, got -1", "p_A must lie in [0, 1], got 2.0",
+            "p_H must be 0 when n == 0, got 0.5",
+        ]),
+    ])
+    def test_invalid_corpus_reports(self, values, violations):
+        assert validate(NetworkConfig(*values)) == violations
+        with pytest.raises(InvalidConfigError) as exc:
+            throughputs(NetworkConfig(*values))
+        assert exc.value.violations == violations
+
+    def test_closure_edge_is_unchanged(self):
+        # the last p_A that closes under the float sum p_A + m*p_F + n*p_H
+        last = 0.5000000009999999
+        assert validate(NetworkConfig(1, 1, last, 0.25, 0.25)) == []
+        assert validate(NetworkConfig(1, 1, math.nextafter(last, 1.0), 0.25, 0.25)) == [
+            "p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.000000001"
+        ]
+
+
+def assert_plain_floats(report):
+    for field in dataclasses.fields(report):
+        assert type(getattr(report, field.name)) is float, field.name
+
+
+class TestNumberTypes:
+    """throughputs() returns plain floats whatever real numbers it is given."""
+
+    def test_fractions(self):
+        third = Fraction(1, 3)
+        report = throughputs(NetworkConfig(1, 1, third, third, third))
+        assert_plain_floats(report)
+        assert report == throughputs(NetworkConfig(1, 1, 1 / 3, 1 / 3, 1 / 3))
+        assert type(head_fraction(NetworkConfig(1, 1, third, third, third))) is float
+
+    def test_numpy_integer_probabilities(self):
+        report = throughputs(NetworkConfig(1, 0, np.int64(0), np.int64(1), np.int64(0)))
+        assert_plain_floats(report)
+        assert report == throughputs(NetworkConfig(1, 0, 0.0, 1.0, 0.0))
+
 
 class TestConstructors:
     @pytest.mark.parametrize("m,n", [(1, 1), (3, 5), (0, 4), (4, 0)])
@@ -298,6 +370,21 @@ class TestProperties:
             assert rep.fd_down == 0.0 and rep.fd_up == 0.0
         if cfg.n == 0:
             assert rep.hd_down == 0.0 and rep.hd_up == 0.0
+
+    @settings(max_examples=200)
+    @given(st.one_of(valid_configs(), any_configs))
+    def test_numpy_scalars_get_the_plain_verdict(self, cfg):
+        # the same values as np.int64 and np.float64 take the reporting path
+        as_numpy = NetworkConfig(
+            np.int64(cfg.m), np.int64(cfg.n),
+            np.float64(cfg.p_A), np.float64(cfg.p_F), np.float64(cfg.p_H),
+        )
+        plain_valid = validate(cfg) == []
+        assert (validate(as_numpy) == []) == plain_valid
+        if plain_valid:
+            assert head_fraction(as_numpy) == head_fraction(cfg)
+            assert throughputs(as_numpy) == throughputs(cfg)
+            assert_plain_floats(throughputs(as_numpy))
 
     @settings(max_examples=60)
     @given(st.integers(1, 50), st.integers(1, 50))

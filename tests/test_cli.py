@@ -70,6 +70,12 @@ class TestTheory:
         assert payload["config"]["m"] == 1
         assert payload["theory"]["p"] == 0.75
 
+    def test_numpy_real_scalars_render(self):
+        config = NetworkConfig(1, 1, np.float32(0.6), np.float32(0.3), np.float32(0.1))
+        payload = json.loads(_render_json(cmd_theory(Scenario(config))))
+        assert payload["config"]["p_A"] == float(format(float(np.float32(0.6)), ".12g"))
+        assert payload["theory"]["p"] == 0.75
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "theory.json"
         code, out, _ = run_cli(
@@ -343,7 +349,7 @@ class TestFlagErrors:
     def test_out_of_memory_exits_two(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr("fdmix.cli.run", exhausted)
+        monkeypatch.setattr("fdmix.simulator.run", exhausted)
         assert_one_error_line(*run_cli(
             capsys, "simulate", "--preset", "dca", "--m", str(10**15), "--n", "1",
             "--slots", "1", "--capacity", "1",
@@ -470,15 +476,65 @@ class TestFuzz:
             assert_contract(*result, ok=(0, 1))
 
 
-def test_module_entry_point_help():
+def fresh_process(*args):
+    """Run ``python *args`` in a new interpreter that imports this suite's fdmix."""
     # the child imports the fdmix this suite imports, installed or not
     path = [str(Path(fdmix.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    proc = subprocess.run(
-        [sys.executable, "-m", "fdmix.cli", "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))},
     )
+
+
+class TestParserReuse:
+    """main() reuses one parser; no call may leave state for the next."""
+
+    def test_z_max_returns_to_its_default(self):
+        network = ["--preset", "dca", "--m", "2", "--n", "2", "--slots", "200", "--seed", "1"]
+        code, out, _ = call_main(["validate", "--z-max", "2", *network])
+        assert code in (0, 1) and json.loads(out)["z_max"] == 2.0
+        code, out, _ = call_main(["validate", *network])
+        assert code in (0, 1) and json.loads(out)["z_max"] == 4.0
+
+    def test_out_file_is_not_kept(self, tmp_path):
+        target = tmp_path / "theory.json"
+        argv = ["theory", "--preset", "fair", "--m", "2", "--n", "2"]
+        assert call_main([*argv, "--out", str(target)]) == (0, "", "")
+        code, out, _ = call_main(argv)
+        assert code == 0 and out == target.read_text()
+
+    def test_refusal_then_good_call_matches_a_fresh_process(self):
+        with pytest.raises(SystemExit) as exc:
+            call_main(["theory", "--m", "1.5"])
+        assert exc.value.code == 2
+        argv = ["theory", "--m", "1", "--n", "1", "--pA", "0.6", "--pF", "0.3", "--pH", "0.1"]
+        fresh = fresh_process("-m", "fdmix.cli", *argv)
+        assert call_main(argv) == (0, fresh.stdout, fresh.stderr)
+        assert fresh.returncode == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "--preset", "dca", "--m", "2", "--n", "2"],
+    ["sweep", "--total-stations", "4"],
+])
+def test_closed_form_commands_do_not_import_numpy(argv):
+    child = (
+        "import sys\n"
+        "from fdmix.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    proc = fresh_process("-c", child, *argv)
+    assert proc.returncode == 0
+    assert proc.stdout
+    assert proc.stderr == "False\n"
+
+
+def test_module_entry_point_help():
+    proc = fresh_process("-m", "fdmix.cli", "--help")
     assert proc.returncode == 0
     for word in ("theory", "simulate", "sweep", "validate"):
         assert word in proc.stdout
