@@ -145,7 +145,8 @@ def validate(config: NetworkConfig) -> list[str]:
         out.append(f"p_H must be 0 when n == 0, got {config.p_H!r}")
     if m is None or n is None or bad_probs:
         return out
-    closure = _closure(m, n, config.p_A, config.p_F, config.p_H)
+    # judged in the floats the model computes with, whatever the input type
+    closure = _closure(m, n, float(config.p_A), float(config.p_F), float(config.p_H))
     if not _closes(closure):
         out.append(
             f"p_A + m*p_F + n*p_H must equal 1 within {CLOSURE_TOL}, got {closure!r}"
@@ -206,23 +207,20 @@ def _count_or_none(name: str, value, out: list[str]) -> int | None:
 
 
 def require_valid(config: NetworkConfig) -> NetworkConfig:
-    """Return ``config`` unchanged or raise :class:`InvalidConfigError`."""
-    violations = validate(config)
-    if violations:
-        raise InvalidConfigError(violations)
-    return config
+    """Return ``config`` in plain numbers or raise :class:`InvalidConfigError`.
 
-
-def _plain_numbers(config: NetworkConfig) -> tuple[int, int, float, float, float]:
-    """``(m, n, p_A, p_F, p_H)`` of a valid config as plain ``int`` and ``float``.
-
-    Raises :class:`InvalidConfigError` when ``config`` is invalid.
+    The counts come back as ``int`` and the probabilities as ``float``:
+    ``config`` itself when it already holds them, a new config otherwise.
     """
     m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
     if _plain_and_valid(m, n, p_A, p_F, p_H):
-        return m, n, p_A, p_F, p_H
-    require_valid(config)
-    return operator.index(m), operator.index(n), float(p_A), float(p_F), float(p_H)
+        return config
+    violations = validate(config)
+    if violations:
+        raise InvalidConfigError(violations)
+    return NetworkConfig(
+        operator.index(m), operator.index(n), float(p_A), float(p_F), float(p_H)
+    )
 
 
 def head_fraction(config: NetworkConfig) -> float:
@@ -237,8 +235,8 @@ def head_fraction(config: NetworkConfig) -> float:
     stations, 0 when there are no half-duplex stations, and 0 when the AP
     never transmits (the queue head is then never observed).
     """
-    m, n, p_A, p_F, _ = _plain_numbers(config)
-    return _head_fraction(m, n, p_A, p_F)
+    config = require_valid(config)
+    return _head_fraction(config.m, config.n, config.p_A, config.p_F)
 
 
 def _head_fraction(m: int, n: int, p_A: float, p_F: float) -> float:
@@ -263,7 +261,8 @@ def throughputs(config: NetworkConfig) -> ThroughputReport:
     ``fd_up`` are equal by construction: a full-duplex downlink is answered
     by an uplink in the same slot and vice versa.
     """
-    m, n, p_A, p_F, p_H = _plain_numbers(config)
+    config = require_valid(config)
+    m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
     p = _head_fraction(m, n, p_A, p_F)
     hd_down = p_A * p / n if n > 0 else 0.0
     hd_up = p_H if n > 0 else 0.0

@@ -18,7 +18,7 @@ import math
 import numbers
 import operator
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -117,8 +117,6 @@ def parse_scenario(raw) -> Scenario:
         if missing:
             raise ScenarioError(f"missing scenario fields {missing}")
         config = require_valid(NetworkConfig(*(raw[key] for key in _CONFIG_KEYS)))
-        # validate() accepts integral probabilities; report them as floats
-        config = replace(config, **{key: float(getattr(config, key)) for key in _PROBS})
     else:
         if not isinstance(preset, str) or preset not in PRESETS:
             raise ScenarioError(f"unknown preset {preset!r}")
@@ -168,20 +166,6 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return parse_scenario(raw)
 
 
-def _sim_payload(scenario: Scenario) -> dict:
-    """The simulation parameters with every default resolved."""
-    from .simulator import RNG_ALGORITHM, default_capacity, default_warmup
-
-    warmup, capacity = scenario.warmup, scenario.capacity
-    return {
-        "slots": scenario.slots,
-        "warmup": default_warmup(scenario.slots) if warmup is None else warmup,
-        "capacity": default_capacity(scenario.config) if capacity is None else capacity,
-        "seed": scenario.seed,
-        "rng": RNG_ALGORITHM,
-    }
-
-
 def cmd_theory(scenario: Scenario) -> dict:
     """Closed-form flows for the scenario's network."""
     report = throughputs(scenario.config)
@@ -194,9 +178,16 @@ def cmd_theory(scenario: Scenario) -> dict:
 
 def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
     """Run the scenario; also return the resolved parameters it ran with."""
-    from .simulator import run
+    from .simulator import RNG_ALGORITHM, default_capacity, default_warmup, run
 
-    sim = _sim_payload(scenario)
+    warmup, capacity = scenario.warmup, scenario.capacity
+    sim = {
+        "slots": scenario.slots,
+        "warmup": default_warmup(scenario.slots) if warmup is None else warmup,
+        "capacity": default_capacity(scenario.config) if capacity is None else capacity,
+        "seed": scenario.seed,
+        "rng": RNG_ALGORITHM,
+    }
     stats = run(
         scenario.config,
         sim["slots"],
@@ -288,8 +279,11 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
+# Building the parser costs more than a theory call; parse_args leaves it
+# unchanged, so every main() call in a process shares one.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """A new parser for the fdmix command line."""
+    """The parser for the fdmix command line."""
     parser = argparse.ArgumentParser(
         prog="fdmix",
         description=(
@@ -334,15 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # Building the parser costs more than a theory call; parse_args leaves
-    # it unchanged, so every main() call in a process shares one.
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
             _emit(cmd_sweep(args.total_stations), args.out)

@@ -27,7 +27,7 @@ plays a whole span from the same draws and returns the same counters.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterator, NamedTuple
 
@@ -160,17 +160,7 @@ def new_sim(
     with independent uniform destinations, the stationary condition for the
     un-consumed part of the backlog.
     """
-    require_valid(config)
-    # plain numbers keep step()'s arithmetic off numpy scalars, whose
-    # precision (float32, say) run()'s float64 arrays would not share
-    config = replace(
-        config,
-        m=int(config.m),
-        n=int(config.n),
-        p_A=float(config.p_A),
-        p_F=float(config.p_F),
-        p_H=float(config.p_H),
-    )
+    config = require_valid(config)
     total = config.m + config.n
     if capacity is None:
         capacity = default_capacity(config)

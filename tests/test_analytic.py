@@ -207,6 +207,11 @@ class TestValidate:
             "m must be >= 0, got -1", "p_A must lie in [0, 1], got 2.0",
             "p_H must be 0 when n == 0, got 0.5",
         ]),
+        # the closure is summed in floats, whatever type the inputs are
+        ((1, 1, np.float32(.6), np.float32(.3), np.float32(.1)),
+         ["p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.000000037252903"]),
+        ((1, 0, Fraction(1, 2), Fraction(1), 0),
+         ["p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.5"]),
     ])
     def test_invalid_corpus_reports(self, values, violations):
         assert validate(NetworkConfig(*values)) == violations
@@ -382,6 +387,14 @@ class TestProperties:
         plain_valid = validate(cfg) == []
         assert (validate(as_numpy) == []) == plain_valid
         if plain_valid:
+            # require_valid returns the normal form: cfg itself, and for the
+            # numpy twin an equal config of plain ints and floats
+            assert require_valid(cfg) is cfg
+            normal = require_valid(as_numpy)
+            assert normal == cfg
+            assert [type(getattr(normal, f.name)) for f in dataclasses.fields(normal)] == [
+                int, int, float, float, float
+            ]
             assert head_fraction(as_numpy) == head_fraction(cfg)
             assert throughputs(as_numpy) == throughputs(cfg)
             assert_plain_floats(throughputs(as_numpy))

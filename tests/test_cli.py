@@ -71,9 +71,10 @@ class TestTheory:
         assert payload["theory"]["p"] == 0.75
 
     def test_numpy_real_scalars_render(self):
-        config = NetworkConfig(1, 1, np.float32(0.6), np.float32(0.3), np.float32(0.1))
+        # exact in binary, so the closure holds in floats as well
+        config = NetworkConfig(1, 1, np.float32(0.5), np.float32(0.25), np.float32(0.25))
         payload = json.loads(_render_json(cmd_theory(Scenario(config))))
-        assert payload["config"]["p_A"] == float(format(float(np.float32(0.6)), ".12g"))
+        assert payload["config"]["p_A"] == float(format(float(np.float32(0.5)), ".12g"))
         assert payload["theory"]["p"] == 0.75
 
     def test_out_file(self, capsys, tmp_path):
@@ -279,6 +280,9 @@ class TestScenarioFiles:
         ({"m": 1, "n": 0, "p_A": False, "p_F": True, "p_H": 0},
          "p_F must be a number"),
         ({"preset": ["dca"], "m": 1, "n": 1}, "unknown preset"),
+        # integral probabilities are summed as floats
+        ({"m": 1, "n": 0, "p_A": 1, "p_F": 1, "p_H": 0},
+         "fdmix: error: p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 2.0\n"),
     ])
     def test_rejected_scenarios_exit_two(self, capsys, tmp_path, payload, fragment):
         path = self.write(tmp_path, payload)

@@ -250,8 +250,9 @@ class TestRun:
         assert run(cfg, 2_000, seed=3) == run(MIXED, 2_000, seed=3)
 
     def test_numpy_float_probabilities_become_plain_floats(self):
-        # step() would otherwise compute in float32, run() in float64
-        cfg = NetworkConfig(1, 1, np.float32(0.6), np.float32(0.3), np.float32(0.1))
+        # step() would otherwise compute in float32, run() in float64; the
+        # values are exact in binary, so the closure holds in floats as well
+        cfg = NetworkConfig(1, 1, np.float32(0.625), np.float32(0.25), np.float32(0.125))
         assert type(new_sim(cfg).config.p_A) is float
         assert run(cfg, 2_000, warmup_slots=0, seed=3) == _stepped(cfg, 2_000, 0, None, 3)
 
