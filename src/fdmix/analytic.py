@@ -19,6 +19,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 # Absolute slack allowed on p_A + m*p_F + n*p_H = 1.
 CLOSURE_TOL = 1e-9
@@ -96,8 +97,7 @@ class NetworkConfig:
     p_H: float
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
+class ThroughputReport(NamedTuple):
     """Per-station flow rates plus the aggregate slot usage.
 
     ``p`` is the probability that the packet at the head of the AP queue is
@@ -105,6 +105,9 @@ class ThroughputReport:
     slot over the whole network (downlink plus uplink), so it lives in
     [1, 2]: 1 when every slot carries one packet, 2 when every slot carries
     a full-duplex pair.
+
+    A report is a tuple of its six floats in field order, so it compares
+    equal to a plain tuple of the same values.
     """
 
     p: float
@@ -129,72 +132,45 @@ def validate(config: NetworkConfig) -> list[str]:
     out: list[str] = []
     m = _count_or_none("m", config.m, out)
     n = _count_or_none("n", config.n, out)
-    if m is not None and n is not None and not _has_station(m, n):
+    if m is not None and n is not None and m + n < 1:
         out.append("need at least one station (m + n >= 1)")
     bad_probs = []
     for name, value in (("p_A", config.p_A), ("p_F", config.p_F), ("p_H", config.p_H)):
         if type(value) is bool or not isinstance(value, (float, int, numbers.Real)):
             out.append(f"{name} must be a number, got {_show(value)}")
             bad_probs.append(name)
-        elif not _in_unit_interval(value):
+        elif not 0.0 <= value <= 1.0:
             out.append(f"{name} must lie in [0, 1], got {_show(value)}")
             bad_probs.append(name)
-    if m is not None and "p_F" not in bad_probs and not _silent_if_absent(m, config.p_F):
+    # an absent station class never transmits
+    if m == 0 and "p_F" not in bad_probs and config.p_F != 0.0:
         out.append(f"p_F must be 0 when m == 0, got {config.p_F!r}")
-    if n is not None and "p_H" not in bad_probs and not _silent_if_absent(n, config.p_H):
+    if n == 0 and "p_H" not in bad_probs and config.p_H != 0.0:
         out.append(f"p_H must be 0 when n == 0, got {config.p_H!r}")
     if m is None or n is None or bad_probs:
         return out
     # judged in the floats the model computes with, whatever the input type
-    closure = _closure(m, n, float(config.p_A), float(config.p_F), float(config.p_H))
-    if not _closes(closure):
+    closure = float(config.p_A) + m * float(config.p_F) + n * float(config.p_H)
+    if not abs(closure - 1.0) <= CLOSURE_TOL:
         out.append(
             f"p_A + m*p_F + n*p_H must equal 1 within {CLOSURE_TOL}, got {closure!r}"
         )
     return out
 
 
-# The rules of validate() on values of the right type.  validate() reports
-# which of them fail; _plain_and_valid() asks only whether all of them hold.
-
-
-def _is_station_count(value: int) -> bool:
-    return 0 <= value <= MAX_STATIONS
-
-
-def _has_station(m: int, n: int) -> bool:
-    return m + n >= 1
-
-
-def _in_unit_interval(value) -> bool:
-    return 0.0 <= value <= 1.0
-
-
-def _silent_if_absent(count: int, probability) -> bool:
-    """An absent station class never transmits."""
-    return count != 0 or probability == 0.0
-
-
-def _closure(m: int, n: int, p_A, p_F, p_H):
-    return p_A + m * p_F + n * p_H
-
-
-def _closes(closure) -> bool:
-    return abs(closure - 1.0) <= CLOSURE_TOL
-
-
 def _plain_and_valid(m, n, p_A, p_F, p_H) -> bool:
     """True when the counts are plain ``int``, the probabilities plain
-    ``float``, and every rule holds.  False sends the caller to the
-    reporting path of :func:`validate`, which applies the same rules.
+    ``float``, and every rule of :func:`validate` holds.  False sends the
+    caller to the reporting path of :func:`validate`, which names the
+    broken rules.
     """
     return (
         type(m) is int and type(n) is int
         and type(p_A) is float and type(p_F) is float and type(p_H) is float
-        and _is_station_count(m) and _is_station_count(n) and _has_station(m, n)
-        and _in_unit_interval(p_A) and _in_unit_interval(p_F) and _in_unit_interval(p_H)
-        and _silent_if_absent(m, p_F) and _silent_if_absent(n, p_H)
-        and _closes(_closure(m, n, p_A, p_F, p_H))
+        and 0 <= m <= MAX_STATIONS and 0 <= n <= MAX_STATIONS and m + n >= 1
+        and 0.0 <= p_A <= 1.0 and 0.0 <= p_F <= 1.0 and 0.0 <= p_H <= 1.0
+        and (m != 0 or p_F == 0.0) and (n != 0 or p_H == 0.0)
+        and abs(p_A + m * p_F + n * p_H - 1.0) <= CLOSURE_TOL
     )
 
 
@@ -304,14 +280,3 @@ def fairness_config(m: int, n: int) -> NetworkConfig:
         return NetworkConfig(m, 0, 0.0, 1.0 / m, 0.0)
     denom = 2 * n + m
     return NetworkConfig(m, n, n / denom, 1.0 / denom if m > 0 else 0.0, 1.0 / denom)
-
-
-def dca_gain(m: int, n: int) -> float:
-    """Aggregate throughput under uniform contention: 1 + m/(1+m+n).
-
-    Equals ``throughputs(dca_config(m, n)).sum`` whenever half-duplex
-    stations are present; the surplus over 1 is the fraction of slots won
-    by a full-duplex station, each carrying two packets.
-    """
-    m, n = _station_counts(m, n)
-    return 1.0 + m / (1 + m + n)

@@ -172,7 +172,7 @@ def cmd_theory(scenario: Scenario) -> dict:
     return {
         "preset": scenario.preset,
         "config": asdict(scenario.config),
-        "theory": asdict(report),
+        "theory": report._asdict(),
     }
 
 
@@ -208,7 +208,7 @@ def cmd_simulate(scenario: Scenario) -> dict:
         "preset": scenario.preset,
         "config": asdict(scenario.config),
         "sim": sim,
-        "empirical": asdict(report),
+        "empirical": report._asdict(),
         "counters": {
             "total_slots": stats.total_slots,
             "ap_wins": stats.ap_wins,
@@ -243,7 +243,7 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
         "config": asdict(scenario.config),
         "sim": sim,
         "z_max": z_max,
-        "theory": asdict(theory),
+        "theory": theory._asdict(),
         "flows": flows,
         "overall": "pass" if result.overall else "fail",
     }

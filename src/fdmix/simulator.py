@@ -3,10 +3,11 @@
 The AP holds an infinite backlog of downlink packets with independent
 uniform destinations.  Materialising the whole backlog is impossible, so the
 simulator keeps a sliding window: the oldest ``capacity`` packets, stored as
-encoded destinations (half-duplex stations first, then full-duplex; see
-``encode_dest``).  When a winning full-duplex station finds no packet for
-itself inside the window, the packet it serves is the first one addressed to
-it beyond the window.  That slot still carries a downlink, the event is
+destination codes.  Half-duplex station ``i`` has code ``i`` and full-duplex
+station ``k`` code ``n + k``; ``step()`` turns codes into :class:`Packet`
+addresses.  When a winning full-duplex station finds no packet for itself
+inside the window, the packet it serves is the first one addressed to it
+beyond the window.  That slot still carries a downlink, the event is
 counted in ``fd_wins_no_packet``, and a per-station debt is recorded so that
 later window refills skip destinations already consumed ahead of time.
 Because backlog destinations are independent, consuming the first
@@ -115,28 +116,6 @@ class SimState:
     dests: Iterator[int]  # backlog destinations for window refills
     stats: SimStats
     measuring: bool = True
-
-
-def encode_dest(config: NetworkConfig, packet: Packet) -> int:
-    """Map a packet destination to its queue code (HD first, then FD)."""
-    if packet.dest_class == HD:
-        if not 0 <= packet.dest_index < config.n:
-            raise ValueError(f"no half-duplex station {packet.dest_index}")
-        return packet.dest_index
-    if packet.dest_class == FD:
-        if not 0 <= packet.dest_index < config.m:
-            raise ValueError(f"no full-duplex station {packet.dest_index}")
-        return config.n + packet.dest_index
-    raise ValueError(f"unknown station class {packet.dest_class!r}")
-
-
-def decode_dest(config: NetworkConfig, code: int) -> Packet:
-    """Inverse of :func:`encode_dest`."""
-    if not 0 <= code < config.n + config.m:
-        raise ValueError(f"destination code {code} out of range")
-    if code < config.n:
-        return Packet(HD, code)
-    return Packet(FD, code - config.n)
 
 
 def default_capacity(config: NetworkConfig) -> int:

@@ -4,8 +4,9 @@ Each measured flow is treated as a Bernoulli rate over its observation
 count, which ignores slot-to-slot correlation introduced by the queue.  The
 binomial error understates that of the head composition ``p``: away from
 saturation its variance is ``(1+ρ)/(1−ρ)`` times the binomial one, with
-``ρ = n·p_F/p_A`` (ROADMAP.md, item 2).  So a correct subcritical network
-such as (2,3,0.4,0.1,0.4/3) still fails ``z_max`` = 4 on some seeds.
+``ρ = n·p_F/p_A`` (ROADMAP.md, item "Model-based standard errors").  So a
+correct subcritical network such as (2,3,0.4,0.1,0.4/3) still fails
+``z_max`` = 4 on some seeds.
 """
 
 from __future__ import annotations

@@ -6,25 +6,37 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from fdmix.analytic import (
     CLOSURE_TOL,
+    MAX_STATIONS,
     InvalidConfigError,
     NetworkConfig,
     dca_config,
-    dca_gain,
     fairness_config,
     head_fraction,
     require_valid,
     throughputs,
     validate,
+    _plain_and_valid,
 )
 
 from strategies import valid_configs
 
 TOL = 1e-12
+
+
+def dca_gain(m, n):
+    """Aggregate throughput under uniform contention: 1 + m/(1+m+n).
+
+    The surplus over 1 is the fraction of slots won by a full-duplex
+    station, each carrying two packets.  It equals the closed form's
+    ``sum`` whenever half-duplex stations are present.
+    """
+    return 1.0 + m / (1 + m + n)
+
 
 # Mostly invalid configs, with values near every rule's edge.
 probabilities = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 1e-9, -0.0, math.nan]) | st.floats()
@@ -36,6 +48,30 @@ any_configs = st.builds(
     probabilities,
     probabilities,
 )
+
+# Plain int/float configs, heavy on the edges of every rule.
+plain_counts = st.sampled_from([0, 1, MAX_STATIONS, MAX_STATIONS + 1, -1]) | st.integers(-1, 5)
+plain_probabilities = st.sampled_from([
+    0.0, -0.0, 1.0, 0.5, 0.25, math.nan, math.inf,
+    math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0),
+]) | st.floats()
+
+
+@st.composite
+def closure_edge_configs(draw):
+    """Plain configs whose closure lands within a few ulps of 1 +/- CLOSURE_TOL."""
+    m = draw(st.sampled_from([0, 1, 2, 7, MAX_STATIONS]))
+    n = draw(st.sampled_from([0, 1, 3, MAX_STATIONS]))
+    p_F = draw(st.floats(0.0, 0.5)) / m if m else 0.0
+    p_H = draw(st.floats(0.0, 0.5)) / n if n else 0.0
+    p_A = 1.0 - m * p_F - n * p_H + draw(st.sampled_from([CLOSURE_TOL, -CLOSURE_TOL, 0.0]))
+    for _ in range(draw(st.integers(0, 3))):
+        p_A = math.nextafter(p_A, draw(st.sampled_from([-math.inf, math.inf])))
+    return NetworkConfig(m, n, p_A, p_F, p_H)
+
+
+class _NotPlain(float):
+    """A float that is not of type ``float``, so validate() takes its reporting path."""
 
 
 class TestFrozenValues:
@@ -229,8 +265,8 @@ class TestValidate:
 
 
 def assert_plain_floats(report):
-    for field in dataclasses.fields(report):
-        assert type(getattr(report, field.name)) is float, field.name
+    for field in report._fields:
+        assert type(getattr(report, field)) is float, field
 
 
 class TestNumberTypes:
@@ -274,21 +310,21 @@ class TestConstructors:
         assert cfg.p_F == 0.25
         assert validate(cfg) == []
 
-    @pytest.mark.parametrize("builder", [dca_config, fairness_config, dca_gain])
+    @pytest.mark.parametrize("builder", [dca_config, fairness_config])
     def test_empty_network_rejected(self, builder):
         with pytest.raises(InvalidConfigError):
             builder(0, 0)
         with pytest.raises(InvalidConfigError):
             builder(-1, 3)
 
-    @pytest.mark.parametrize("builder", [dca_config, fairness_config, dca_gain])
+    @pytest.mark.parametrize("builder", [dca_config, fairness_config])
     def test_counts_must_be_integral(self, builder):
         with pytest.raises(InvalidConfigError, match="m must be an integer"):
             builder(True, 2)
         with pytest.raises(InvalidConfigError, match="n must be an integer"):
             builder(2, 2.0)
 
-    @pytest.mark.parametrize("builder", [dca_config, fairness_config, dca_gain])
+    @pytest.mark.parametrize("builder", [dca_config, fairness_config])
     def test_huge_counts_rejected(self, builder):
         with pytest.raises(InvalidConfigError, match="m must be <="):
             builder(10**400, 1)
@@ -398,6 +434,35 @@ class TestProperties:
             assert head_fraction(as_numpy) == head_fraction(cfg)
             assert throughputs(as_numpy) == throughputs(cfg)
             assert_plain_floats(throughputs(as_numpy))
+
+    @settings(max_examples=300)
+    @given(
+        st.builds(NetworkConfig, plain_counts, plain_counts,
+                  plain_probabilities, plain_probabilities, plain_probabilities)
+        | closure_edge_configs()
+    )
+    # the closure one ulp inside and outside 1 + CLOSURE_TOL and 1 - CLOSURE_TOL
+    @example(NetworkConfig(1, 1, 0.5000000009999999, 0.25, 0.25))
+    @example(NetworkConfig(1, 1, math.nextafter(0.5000000009999999, 1.0), 0.25, 0.25))
+    @example(NetworkConfig(1, 1, 0.49999999900000003, 0.25, 0.25))
+    @example(NetworkConfig(1, 1, math.nextafter(0.49999999900000003, 0.0), 0.25, 0.25))
+    # counts at 0 and at MAX_STATIONS, probabilities at exactly 0.0 and 1.0
+    @example(NetworkConfig(0, 0, 1.0, 0.0, 0.0))
+    @example(NetworkConfig(0, 1, 0.0, 0.0, 1.0))
+    @example(NetworkConfig(MAX_STATIONS, 0, 1.0, 0.0, 0.0))
+    @example(NetworkConfig(MAX_STATIONS + 1, 0, 1.0, 0.0, 0.0))
+    @example(NetworkConfig(1, 1, math.nan, 0.5, 0.5))
+    # an absent class with a non-zero probability
+    @example(NetworkConfig(0, 1, 0.5, 1e-300, 0.5))
+    @example(NetworkConfig(1, 0, 0.5, 0.5, 5e-324))
+    def test_plain_verdict_matches_reporting_path(self, cfg):
+        plain = _plain_and_valid(cfg.m, cfg.n, cfg.p_A, cfg.p_F, cfg.p_H)
+        assert plain == (validate(cfg) == [])
+        # the same floats through the rules as validate() reports them
+        reported = validate(NetworkConfig(
+            cfg.m, cfg.n, _NotPlain(cfg.p_A), _NotPlain(cfg.p_F), _NotPlain(cfg.p_H)
+        ))
+        assert plain == (reported == [])
 
     @settings(max_examples=60)
     @given(st.integers(1, 50), st.integers(1, 50))

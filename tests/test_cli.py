@@ -14,7 +14,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import fdmix
-from fdmix.analytic import NetworkConfig
+from fdmix.analytic import NetworkConfig, ThroughputReport
 from fdmix.cli import _CSV_COLUMNS, Scenario, _render_json, cmd_theory, main
 
 
@@ -87,6 +87,57 @@ class TestTheory:
         assert json.loads(target.read_text())["theory"]["sum"] == float(
             format(4 / 3, ".12g")
         )
+
+
+# Exact stdout of the closed-form commands, so that a change in the report
+# type cannot silently reorder or reformat their output.
+THEORY_GOLDEN = """\
+{
+  "preset": null,
+  "config": {
+    "m": 1,
+    "n": 1,
+    "p_A": 0.6,
+    "p_F": 0.3,
+    "p_H": 0.1
+  },
+  "theory": {
+    "p": 0.75,
+    "hd_down": 0.45,
+    "hd_up": 0.1,
+    "fd_down": 0.45,
+    "fd_up": 0.45,
+    "sum": 1.45
+  }
+}
+"""
+
+SWEEP_GOLDEN = """\
+preset,m,n,p_A,p_F,p_H,p,hd_down,hd_up,fd_down,fd_up,sum,hd_down_total,hd_up_total,fd_down_total,fd_up_total
+dca,0,4,0.2,0,0.2,1,0.05,0.2,0,0,1,0.2,0.8,0,0
+dca,1,3,0.2,0.2,0.2,1,0.0666666666667,0.2,0.2,0.2,1.2,0.2,0.6,0.2,0.2
+dca,2,2,0.2,0.2,0.2,1,0.1,0.2,0.2,0.2,1.4,0.2,0.4,0.4,0.4
+dca,3,1,0.2,0.2,0.2,1,0.2,0.2,0.2,0.2,1.6,0.2,0.2,0.6,0.6
+dca,4,0,0.2,0.2,0,0,0,0,0.25,0.25,2,0,0,1,1
+fair,0,4,0.5,0,0.125,1,0.125,0.125,0,0,1,0.5,0.5,0,0
+fair,1,3,0.428571428571,0.142857142857,0.142857142857,1,0.142857142857,0.142857142857,0.142857142857,0.142857142857,1.14285714286,0.428571428571,0.428571428571,0.142857142857,0.142857142857
+fair,2,2,0.333333333333,0.166666666667,0.166666666667,1,0.166666666667,0.166666666667,0.166666666667,0.166666666667,1.33333333333,0.333333333333,0.333333333333,0.333333333333,0.333333333333
+fair,3,1,0.2,0.2,0.2,1,0.2,0.2,0.2,0.2,1.6,0.2,0.2,0.6,0.6
+fair,4,0,0,0.25,0,0,0,0,0.25,0.25,2,0,0,1,1
+"""
+
+
+class TestGoldenOutput:
+    def test_theory_bytes(self, capsys):
+        code, out, err = run_cli(
+            capsys, "theory", "--m", "1", "--n", "1",
+            "--pA", "0.6", "--pF", "0.3", "--pH", "0.1",
+        )
+        assert (code, out, err) == (0, THEORY_GOLDEN, "")
+        assert list(json.loads(out)["theory"]) == list(ThroughputReport._fields)
+
+    def test_sweep_bytes(self, capsys):
+        assert run_cli(capsys, "sweep", "--total-stations", "4") == (0, SWEEP_GOLDEN, "")
 
 
 class TestSimulate:

@@ -21,11 +21,9 @@ from fdmix.simulator import (
     HD,
     Packet,
     SimStats,
-    decode_dest,
     default_capacity,
     default_warmup,
     empirical_report,
-    encode_dest,
     flow_counts,
     new_sim,
     run,
@@ -125,6 +123,23 @@ class TestConstruction:
         assert default_warmup(1_000_000) == 10_000
         assert default_warmup(100) == 10_000
         assert default_warmup(10_000_000) == 100_000
+
+
+def encode_dest(config, packet):
+    """Window code of a packet address: half-duplex stations first, then
+    full-duplex, the layout of ``SimStats`` and of the window."""
+    if packet.dest_class == HD and 0 <= packet.dest_index < config.n:
+        return packet.dest_index
+    if packet.dest_class == FD and 0 <= packet.dest_index < config.m:
+        return config.n + packet.dest_index
+    raise ValueError(f"no station {packet!r}")
+
+
+def decode_dest(config, code):
+    """Inverse of :func:`encode_dest`."""
+    if not 0 <= code < config.n + config.m:
+        raise ValueError(f"destination code {code} out of range")
+    return Packet(HD, code) if code < config.n else Packet(FD, code - config.n)
 
 
 class TestDestinationCodes:
