@@ -14,8 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
-import numbers
 import operator
 import sys
 from dataclasses import asdict, dataclass
@@ -53,10 +51,6 @@ _SIM_MINIMUM = {"slots": 1, "warmup": 0, "capacity": 1, "seed": 0}
 _FLAG_FIELDS = {"preset": "preset", "m": "m", "n": "n", "pA": "p_A", "pF": "p_F", "pH": "p_H"}
 
 
-class ScenarioError(ValueError):
-    """A scenario file or flag combination that cannot be interpreted."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A network plus the simulation parameters to run it with."""
@@ -80,9 +74,7 @@ def _round_floats(value):
         return {key: _round_floats(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_round_floats(item) for item in value]
-    if isinstance(value, numbers.Integral) or not isinstance(value, numbers.Real):
-        return value
-    return float(_sig(float(value)))  # other reals, such as np.float32
+    return value
 
 
 def _render_json(payload: dict) -> str:
@@ -95,39 +87,40 @@ def parse_scenario(raw) -> Scenario:
 
     The mapping names a preset with ``m`` and ``n``, or all five of ``m``,
     ``n``, ``p_A``, ``p_F`` and ``p_H``, plus an optional ``sim`` block.
-    Unknown fields are rejected.  Raises :class:`ScenarioError` or
-    :class:`InvalidConfigError` naming the field that is missing or bad.
+    Unknown fields are rejected.  Raises :class:`ValueError` (or its
+    subclass :class:`InvalidConfigError`) naming the field that is missing
+    or bad.
     """
     if not isinstance(raw, dict):
-        raise ScenarioError("scenario must be a JSON object")
+        raise ValueError("scenario must be a JSON object")
     unknown = sorted(set(raw) - {"preset", "sim", *_CONFIG_KEYS})
     if unknown:
-        raise ScenarioError(f"unknown scenario fields {unknown}")
+        raise ValueError(f"unknown scenario fields {unknown}")
     sim = raw.get("sim", {})
     if not isinstance(sim, dict):
-        raise ScenarioError("'sim' must be a JSON object")
+        raise ValueError("'sim' must be a JSON object")
     unknown = sorted(set(sim) - set(_SIM_MINIMUM))
     if unknown:
-        raise ScenarioError(f"unknown sim fields {unknown}")
+        raise ValueError(f"unknown sim fields {unknown}")
     sim = {key: as_count(f"sim.{key}", value, _SIM_MINIMUM[key]) for key, value in sim.items()}
 
     preset = raw.get("preset")
     if preset is None:
         missing = [key for key in _CONFIG_KEYS if key not in raw]
         if missing:
-            raise ScenarioError(f"missing scenario fields {missing}")
+            raise ValueError(f"missing scenario fields {missing}")
         config = require_valid(NetworkConfig(*(raw[key] for key in _CONFIG_KEYS)))
     else:
         if not isinstance(preset, str) or preset not in PRESETS:
-            raise ScenarioError(f"unknown preset {preset!r}")
+            raise ValueError(f"unknown preset {preset!r}")
         given = [key for key in _PROBS if key in raw]
         if given:
-            raise ScenarioError(
+            raise ValueError(
                 f"a preset fixes the probabilities; {given} may not also be given"
             )
         missing = [key for key in ("m", "n") if key not in raw]
         if missing:
-            raise ScenarioError(f"preset scenarios need {missing}")
+            raise ValueError(f"preset scenarios need {missing}")
         config = PRESETS[preset](raw["m"], raw["n"])
     return Scenario(config=config, preset=preset, **sim)
 
@@ -136,7 +129,7 @@ def _read_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def load_scenario(path: str) -> Scenario:
@@ -154,7 +147,7 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     }
     if args.scenario is not None:
         if raw:
-            raise ScenarioError("--scenario cannot be combined with config flags")
+            raise ValueError("--scenario cannot be combined with config flags")
         raw = _read_json(args.scenario)
     sim = {
         key: getattr(args, key)
@@ -166,14 +159,14 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     return parse_scenario(raw)
 
 
+def _head(scenario: Scenario) -> dict:
+    """The fields every payload opens with; the config in plain numbers."""
+    return {"preset": scenario.preset, "config": asdict(require_valid(scenario.config))}
+
+
 def cmd_theory(scenario: Scenario) -> dict:
     """Closed-form flows for the scenario's network."""
-    report = throughputs(scenario.config)
-    return {
-        "preset": scenario.preset,
-        "config": asdict(scenario.config),
-        "theory": report._asdict(),
-    }
+    return {**_head(scenario), "theory": throughputs(scenario.config)._asdict()}
 
 
 def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
@@ -205,8 +198,7 @@ def cmd_simulate(scenario: Scenario) -> dict:
     stats, sim = _simulate(scenario)
     report = empirical_report(stats, scenario.config)
     return {
-        "preset": scenario.preset,
-        "config": asdict(scenario.config),
+        **_head(scenario),
         "sim": sim,
         "empirical": report._asdict(),
         "counters": {
@@ -220,10 +212,9 @@ def cmd_simulate(scenario: Scenario) -> dict:
 
 def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     """Simulate, judge against the closed form, and return (payload, exit code)."""
-    if not (math.isfinite(z_max) and z_max > 0):
-        raise ValueError(f"z_max must be finite and > 0, got {z_max!r}")
-    from .stats import compare
+    from .stats import _check_z_max, compare
 
+    _check_z_max(z_max)  # before any slot is simulated
     stats, sim = _simulate(scenario)
     theory = throughputs(scenario.config)
     result = compare(theory, stats, scenario.config, z_max=z_max)
@@ -239,10 +230,9 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
         for flow in result.flows
     ]
     payload = {
-        "preset": scenario.preset,
-        "config": asdict(scenario.config),
+        **_head(scenario),
         "sim": sim,
-        "z_max": z_max,
+        "z_max": result.z_max,
         "theory": theory._asdict(),
         "flows": flows,
         "overall": "pass" if result.overall else "fail",
@@ -291,34 +281,27 @@ def build_parser() -> argparse.ArgumentParser:
             "AP serving m full-duplex and n half-duplex stations."
         ),
     )
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--preset", choices=sorted(PRESETS))
+    config.add_argument("--m", type=int, help="full-duplex station count")
+    config.add_argument("--n", type=int, help="half-duplex station count")
+    config.add_argument("--pA", type=float, help="AP transmit probability")
+    config.add_argument("--pF", type=float, help="per full-duplex station probability")
+    config.add_argument("--pH", type=float, help="per half-duplex station probability")
+    config.add_argument("--scenario", metavar="FILE", help="JSON scenario file")
+    config.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
+    sim = argparse.ArgumentParser(add_help=False)
+    sim.add_argument("--slots", type=int, help=f"measured slots (default {DEFAULT_SLOTS})")
+    sim.add_argument("--warmup", type=int, help="warmup slots (default 1%%, min 10000)")
+    sim.add_argument("--capacity", type=int, help="queue window size (default 10 per station)")
+    sim.add_argument("--seed", type=int, help="RNG seed (default 0)")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_config_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--m", type=int, help="full-duplex station count")
-        p.add_argument("--n", type=int, help="half-duplex station count")
-        p.add_argument("--pA", type=float, help="AP transmit probability")
-        p.add_argument("--pF", type=float, help="per full-duplex station probability")
-        p.add_argument("--pH", type=float, help="per half-duplex station probability")
-        p.add_argument("--scenario", metavar="FILE", help="JSON scenario file")
-        p.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
-
-    def add_sim_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--slots", type=int, help=f"measured slots (default {DEFAULT_SLOTS})")
-        p.add_argument("--warmup", type=int, help="warmup slots (default 1%%, min 10000)")
-        p.add_argument("--capacity", type=int, help="queue window size (default 10 per station)")
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-
-    p_theory = sub.add_parser("theory", help="print closed-form flows as JSON")
-    add_config_flags(p_theory)
-
-    p_sim = sub.add_parser("simulate", help="run the slot simulator, print empirical flows")
-    add_config_flags(p_sim)
-    add_sim_flags(p_sim)
-
-    p_val = sub.add_parser("validate", help="simulate and judge each flow against theory")
-    add_config_flags(p_val)
-    add_sim_flags(p_val)
+    sub.add_parser("theory", help="print closed-form flows as JSON", parents=[config])
+    sub.add_parser("simulate", help="run the slot simulator, print empirical flows",
+                   parents=[config, sim])
+    p_val = sub.add_parser("validate", help="simulate and judge each flow against theory",
+                           parents=[config, sim])
     p_val.add_argument("--z-max", type=float, default=4.0, dest="z_max",
                        help="acceptance threshold in standard errors (default 4)")
 

@@ -212,7 +212,7 @@ def step(state: SimState) -> SlotOutcome:
         if cfg.p_F > 0.0:
             k = min(int((u - cfg.p_A) / cfg.p_F), m - 1)
         else:
-            k = 0  # unreachable for valid configs; float-spill guard
+            k = 0  # float spill, reached when a valid config closes short of 1
         code = n + k
         entries = state.queue.entries
         if code in entries:
@@ -231,7 +231,7 @@ def step(state: SimState) -> SlotOutcome:
     if cfg.p_H > 0.0:
         j = min(int((u - cfg.p_A - m * cfg.p_F) / cfg.p_H), n - 1)
     else:
-        j = 0  # unreachable for valid configs; float-spill guard
+        j = 0  # float spill, reached when a valid config closes short of 1
     if measuring:
         stats.up_slots[j] += 1
     return SlotOutcome(HD, None, Packet(HD, j), None)
@@ -249,14 +249,14 @@ def _winners(cfg: NetworkConfig, u: np.ndarray) -> np.ndarray:
             # min before truncation equals step()'s min(int(x), m - 1) for x >= 0
             who[fd] = n + np.minimum((u[fd] - cfg.p_A) / cfg.p_F, m - 1).astype(np.int64)
         else:
-            who[fd] = n  # unreachable for valid configs; float-spill guard
+            who[fd] = n  # float spill, reached as in step()
         station &= ~fd
     if n > 0:
         if cfg.p_H > 0.0:
             x = (u[station] - cfg.p_A - m * cfg.p_F) / cfg.p_H
             who[station] = np.minimum(x, n - 1).astype(np.int64)
         else:
-            who[station] = 0  # unreachable for valid configs; float-spill guard
+            who[station] = 0  # float spill, reached as in step()
     return who
 
 

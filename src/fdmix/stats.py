@@ -69,6 +69,13 @@ def estimate(count: int, total: int) -> FlowEstimate:
     return FlowEstimate(mean=mean, std_error=_std_error(mean, total))
 
 
+def _check_z_max(z_max) -> float:
+    """``z_max`` as a plain float; ValueError unless it is finite and > 0."""
+    if not (math.isfinite(z_max) and z_max > 0):
+        raise ValueError(f"z_max must be finite and > 0, got {z_max!r}")
+    return float(z_max)
+
+
 def _judge(
     name: str, theory_value: float, est: FlowEstimate, theory_error: float, z_max: float
 ) -> FlowComparison:
@@ -91,10 +98,17 @@ def compare(
 ) -> ComparisonResult:
     """Judge every flow of ``stats`` against ``theory`` at ``z_max``.
 
+    ``z_max`` must be finite and > 0 (NaN, 0 or less would fail every flow
+    and inf pass every flow); the result holds it as a plain float.
     Flows of an absent station class are reported as not applicable, as is
-    the head composition when the AP never won a slot.  The aggregate is
-    split into its downlink and uplink slot fractions, whose variances add.
+    the head composition when the AP never won a slot.  The aggregate's
+    error combines those of its downlink and uplink slot fractions by
+    ``hypot``, as if they were independent.  They are not: every slot
+    carries at least one packet, so ``sum - 1`` is the fraction of two-way
+    slots, and the ``hypot`` overstates the error.  ROADMAP.md item 1(b)
+    replaces the rule.
     """
+    z_max = _check_z_max(z_max)
     # name -> (estimate, binomial error at the theory value)
     judged = {
         name: (estimate(count, trials), _std_error(getattr(theory, name), trials))

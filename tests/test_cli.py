@@ -1,5 +1,6 @@
 """Command line behaviour: formats, determinism, exit codes, scenario files."""
 
+import argparse
 import io
 import json
 import os
@@ -15,7 +16,16 @@ import hypothesis.strategies as st
 
 import fdmix
 from fdmix.analytic import NetworkConfig, ThroughputReport
-from fdmix.cli import _CSV_COLUMNS, Scenario, _render_json, cmd_theory, main
+from fdmix.cli import (
+    _CSV_COLUMNS,
+    Scenario,
+    _render_json,
+    build_parser,
+    cmd_simulate,
+    cmd_theory,
+    cmd_validate,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -34,6 +44,30 @@ def assert_one_error_line(code, out, err):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("fdmix: error:"), err
+
+
+# Each command's payload, given the threshold that validate takes.
+PAYLOADS = {
+    "theory": lambda scenario, z_max: cmd_theory(scenario),
+    "simulate": lambda scenario, z_max: cmd_simulate(scenario),
+    "validate": lambda scenario, z_max: cmd_validate(scenario, z_max)[0],
+}
+
+
+def render_like_plain(numpy_config, plain_config):
+    """Each command's payload for a short run given in numpy scalars, parsed.
+
+    Asserts that each renders byte-identically to the same run given in
+    plain numbers.
+    """
+    sim = {"slots": 2_000, "capacity": 4, "seed": 3}
+    numpy_sim = {key: np.int64(value) for key, value in sim.items()}
+    payloads = {}
+    for command, payload in PAYLOADS.items():
+        rendered = _render_json(payload(Scenario(numpy_config, **numpy_sim), np.float32(4.0)))
+        assert rendered == _render_json(payload(Scenario(plain_config, **sim), 4.0)), command
+        payloads[command] = json.loads(rendered)
+    return payloads
 
 
 class TestTheory:
@@ -66,14 +100,14 @@ class TestTheory:
 
     def test_numpy_counts_render(self):
         config = NetworkConfig(np.int64(1), np.int64(1), 0.6, 0.3, 0.1)
-        payload = json.loads(_render_json(cmd_theory(Scenario(config))))
+        payload = render_like_plain(config, NetworkConfig(1, 1, 0.6, 0.3, 0.1))["theory"]
         assert payload["config"]["m"] == 1
         assert payload["theory"]["p"] == 0.75
 
     def test_numpy_real_scalars_render(self):
         # exact in binary, so the closure holds in floats as well
         config = NetworkConfig(1, 1, np.float32(0.5), np.float32(0.25), np.float32(0.25))
-        payload = json.loads(_render_json(cmd_theory(Scenario(config))))
+        payload = render_like_plain(config, NetworkConfig(1, 1, 0.5, 0.25, 0.25))["theory"]
         assert payload["config"]["p_A"] == float(format(float(np.float32(0.5)), ".12g"))
         assert payload["theory"]["p"] == 0.75
 
@@ -593,3 +627,55 @@ def test_module_entry_point_help():
     assert proc.returncode == 0
     for word in ("theory", "simulate", "sweep", "validate"):
         assert word in proc.stdout
+
+
+# Each subcommand's option strings in order, and the help of the command
+# that takes the most flags, as argparse printed them before the shared
+# flag groups became parent parsers.
+CONFIG_OPTIONS = ["--preset", "--m", "--n", "--pA", "--pF", "--pH", "--scenario", "--out"]
+SIM_OPTIONS = ["--slots", "--warmup", "--capacity", "--seed"]
+OPTION_STRINGS = {
+    "theory": ["-h", "--help", *CONFIG_OPTIONS],
+    "simulate": ["-h", "--help", *CONFIG_OPTIONS, *SIM_OPTIONS],
+    "validate": ["-h", "--help", *CONFIG_OPTIONS, *SIM_OPTIONS, "--z-max"],
+    "sweep": ["-h", "--help", "--total-stations", "--out"],
+}
+VALIDATE_HELP_80_COLUMNS = """\
+usage: fdmix validate [-h] [--preset {dca,fair}] [--m M] [--n N] [--pA PA]
+                      [--pF PF] [--pH PH] [--scenario FILE] [--out FILE]
+                      [--slots SLOTS] [--warmup WARMUP] [--capacity CAPACITY]
+                      [--seed SEED] [--z-max Z_MAX]
+
+options:
+  -h, --help           show this help message and exit
+  --preset {dca,fair}
+  --m M                full-duplex station count
+  --n N                half-duplex station count
+  --pA PA              AP transmit probability
+  --pF PF              per full-duplex station probability
+  --pH PH              per half-duplex station probability
+  --scenario FILE      JSON scenario file
+  --out FILE           write output here instead of stdout
+  --slots SLOTS        measured slots (default 1000000)
+  --warmup WARMUP      warmup slots (default 1%, min 10000)
+  --capacity CAPACITY  queue window size (default 10 per station)
+  --seed SEED          RNG seed (default 0)
+  --z-max Z_MAX        acceptance threshold in standard errors (default 4)
+"""
+
+
+def test_each_subcommand_keeps_its_options_in_order():
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: [option for action in parser._actions for option in action.option_strings]
+        for name, parser in sub.choices.items()
+    }
+    assert options == OPTION_STRINGS
+
+
+def test_validate_help_text(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == VALIDATE_HELP_80_COLUMNS

@@ -21,6 +21,7 @@ from fdmix.simulator import (
     HD,
     Packet,
     SimStats,
+    _winners,
     default_capacity,
     default_warmup,
     empirical_report,
@@ -218,6 +219,22 @@ class TestStepInvariants:
         assert stats.fd_wins_no_packet == fd_misses
         # every counted downlink consumes one backlog packet, window or not
         assert sum(down) == ap_wins + sum(up[config.n:]) - (ap_wins - ap_hd)
+
+    @pytest.mark.parametrize("config,winner", [
+        (NetworkConfig(1, 0, 1 - 5e-10, 0.0, 0.0), FD),
+        (NetworkConfig(1, 1, 0.5, 0.5 - 5e-10, 0.0), HD),
+    ])
+    def test_short_closure_gives_the_last_sliver_to_station_zero(self, config, winner):
+        # valid within CLOSURE_TOL, so a draw can pass every class bound and
+        # reach a class whose probability is 0; step() and _winners agree
+        u = 1 - 1e-10
+        state = new_sim(config)
+        state.uniforms = iter([u])
+        outcome = step(state)
+        assert outcome.winner == winner
+        code = encode_dest(config, outcome.uplink_from)
+        assert code == 0
+        assert _winners(config, np.array([u])).tolist() == [code]
 
     def test_full_duplex_down_equals_up_per_station(self):
         stats = run(MIXED, 30_000, warmup_slots=0, seed=5)

@@ -68,6 +68,14 @@ class TestCompare:
         assert not strict.overall
         assert strict.z_max == 0.01
 
+    @pytest.mark.parametrize("z_max", [math.nan, -1.0, 0.0, math.inf])
+    def test_z_max_must_be_finite_and_positive(self, z_max):
+        # nan, -1 and 0 would fail every flow and inf would pass every flow
+        cfg = dca_config(2, 2)
+        stats = run(cfg, 1_000, seed=0)
+        with pytest.raises(ValueError, match="z_max"):
+            compare(throughputs(cfg), stats, cfg, z_max=z_max)
+
     def test_absent_full_duplex_rows_not_applicable(self):
         cfg = dca_config(0, 3)
         stats = run(cfg, 20_000, seed=1)
