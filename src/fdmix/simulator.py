@@ -371,11 +371,12 @@ def run(
 
 
 def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int]]:
-    """(count, trials) per measured flow: the per-class sums of ``stats``.
+    """(count, trials) per measured flow, the table every judged flow comes from.
 
     ``hd_down``/``hd_up`` count packets per half-duplex station-slot,
-    ``fd_down``/``fd_up`` per full-duplex station-slot, and ``p`` the AP
-    wins whose head was half-duplex.  Flows of an absent station class are
+    ``fd_down``/``fd_up`` per full-duplex station-slot, ``p`` the AP wins
+    whose head was half-duplex, and ``sum`` every packet per slot: one per
+    slot plus one per two-way slot.  Flows of an absent station class are
     left out, as is ``p`` when the AP never won a slot.
     """
     if stats.total_slots <= 0:
@@ -390,25 +391,16 @@ def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, 
         out["fd_up"] = (sum(stats.up_slots[n:]), m * t)
     if stats.ap_wins > 0:
         out["p"] = (stats.ap_wins_hd_head, stats.ap_wins)
+    out["sum"] = (sum(stats.down_slots) + sum(stats.up_slots), t)
     return out
 
 
 def empirical_report(stats: SimStats, config: NetworkConfig) -> ThroughputReport:
     """Turn raw counters into per-station flow estimates.
 
-    Mirrors the analytic report: per-station means over the class, head
-    composition from AP wins, aggregate packets per slot.  Flows of an
-    absent class are 0; the head composition is reported as 0 when the AP
-    never won a slot (no observations).
+    Mirrors the analytic report: each flow is its ``flow_counts`` rate.
+    Flows of an absent class are 0; the head composition is reported as 0
+    when the AP never won a slot (no observations).
     """
-    counts = flow_counts(stats, config)
-    mean = {name: count / trials for name, (count, trials) in counts.items()}
-    packets = sum(stats.down_slots) + sum(stats.up_slots)
-    return ThroughputReport(
-        p=mean.get("p", 0.0),
-        hd_down=mean.get("hd_down", 0.0),
-        hd_up=mean.get("hd_up", 0.0),
-        fd_down=mean.get("fd_down", 0.0),
-        fd_up=mean.get("fd_up", 0.0),
-        sum=packets / stats.total_slots,
-    )
+    mean = {name: count / trials for name, (count, trials) in flow_counts(stats, config).items()}
+    return ThroughputReport(*(mean.get(name, 0.0) for name in ThroughputReport._fields))

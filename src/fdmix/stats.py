@@ -1,11 +1,16 @@
 """Binomial comparison of simulated flow rates against the closed form.
 
-Each measured flow is treated as a Bernoulli rate over its observation
-count, which ignores slot-to-slot correlation introduced by the queue.  The
-binomial error understates that of the head composition ``p``: away from
-saturation its variance is ``(1+ρ)/(1−ρ)`` times the binomial one, with
-``ρ = n·p_F/p_A`` (ROADMAP.md, item "Model-based standard errors").  So a
-correct subcritical network such as (2,3,0.4,0.1,0.4/3) still fails
+Every judged flow is one entry of ``simulator.flow_counts``: a count of
+packets (or of AP wins with a half-duplex head, for ``p``) over a number of
+trials.  A trial counts ``floor(rate)`` or one more: 0 or 1 for a station
+flow and ``p``, 1 or 2 for the aggregate ``sum``, since every slot carries
+one packet and a two-way slot a second.  One rule gives every error: the
+binomial error of the rate's fractional part, as if trials were
+independent.  That ignores slot-to-slot correlation introduced by the
+queue, and so understates the error of the head composition ``p``: away
+from saturation its variance is ``(1+ρ)/(1−ρ)`` times the binomial one,
+with ``ρ = n·p_F/p_A`` (ROADMAP.md, item "Model-based standard errors").
+So a correct subcritical network such as (2,3,0.4,0.1,0.4/3) still fails
 ``z_max`` = 4 on some seeds.
 """
 
@@ -56,13 +61,19 @@ class ComparisonResult:
 
 
 def _std_error(rate: float, trials: int) -> float:
-    """Binomial standard error of ``rate`` over ``trials`` trials."""
-    q = min(rate, 1.0)
-    return math.sqrt(max(q * (1.0 - q), 0.0) / trials)
+    """Binomial standard error of the fractional part of ``rate``.
+
+    A count whose trials each hold ``floor(rate)`` or one more varies only
+    in how many trials hold the extra one, a Bernoulli rate of
+    ``rate % 1``.  So the error is 0 at every whole rate: a station flow
+    or ``p`` of exactly 0 or 1, and a ``sum`` of exactly 1 or 2.
+    """
+    q = rate % 1.0
+    return math.sqrt(q * (1.0 - q) / trials)
 
 
 def estimate(count: int, total: int) -> FlowEstimate:
-    """Bernoulli rate estimate for ``count`` successes in ``total`` trials."""
+    """Rate estimate for ``count`` over ``total`` trials, error by :func:`_std_error`."""
     if total <= 0:
         raise ValueError(f"total must be positive, got {total}")
     mean = count / total
@@ -77,11 +88,12 @@ def _check_z_max(z_max) -> float:
 
 
 def _judge(
-    name: str, theory_value: float, est: FlowEstimate, theory_error: float, z_max: float
+    name: str, theory_value: float, count: int, trials: int, z_max: float
 ) -> FlowComparison:
     # A degenerate estimate (every trial alike) is judged by the error at
     # the theory value, and must match exactly only when that is zero too.
-    error = est.std_error or theory_error
+    est = estimate(count, trials)
+    error = est.std_error or _std_error(theory_value, trials)
     if error > 0.0:
         z = (est.mean - theory_value) / error
         ok = abs(z) <= z_max
@@ -99,34 +111,18 @@ def compare(
     """Judge every flow of ``stats`` against ``theory`` at ``z_max``.
 
     ``z_max`` must be finite and > 0 (NaN, 0 or less would fail every flow
-    and inf pass every flow); the result holds it as a plain float.
-    Flows of an absent station class are reported as not applicable, as is
-    the head composition when the AP never won a slot.  The aggregate's
-    error combines those of its downlink and uplink slot fractions by
-    ``hypot``, as if they were independent.  They are not: every slot
-    carries at least one packet, so ``sum - 1`` is the fraction of two-way
-    slots, and the ``hypot`` overstates the error.  ROADMAP.md item 1(b)
-    replaces the rule.
+    and inf pass every flow); the result holds it as a plain float.  Each
+    entry of ``flow_counts`` is judged by one rule, the binomial error of
+    its rate's fractional part (:func:`_std_error`); the aggregate ``sum``
+    is so judged as ``1 +`` its fraction of two-way slots.  Flows of an
+    absent station class are reported as not applicable, as is the head
+    composition when the AP never won a slot.
     """
     z_max = _check_z_max(z_max)
-    # name -> (estimate, binomial error at the theory value)
-    judged = {
-        name: (estimate(count, trials), _std_error(getattr(theory, name), trials))
-        for name, (count, trials) in flow_counts(stats, config).items()
-    }
-    n, m, t = config.n, config.m, stats.total_slots
-    down = estimate(sum(stats.down_slots), t)
-    up = estimate(sum(stats.up_slots), t)
-    judged["sum"] = (
-        FlowEstimate(down.mean + up.mean, math.hypot(down.std_error, up.std_error)),
-        math.hypot(
-            _std_error(n * theory.hd_down + m * theory.fd_down, t),
-            _std_error(n * theory.hd_up + m * theory.fd_up, t),
-        ),
-    )
+    counts = flow_counts(stats, config)
     flows = [
-        _judge(name, getattr(theory, name), *judged[name], z_max)
-        if name in judged
+        _judge(name, getattr(theory, name), *counts[name], z_max)
+        if name in counts
         else FlowComparison(name, getattr(theory, name), None, None, NOT_APPLICABLE)
         for name in ("hd_down", "hd_up", "fd_down", "fd_up", "p", "sum")
     ]

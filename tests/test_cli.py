@@ -24,7 +24,9 @@ from fdmix.cli import (
     cmd_simulate,
     cmd_theory,
     cmd_validate,
+    load_scenario,
     main,
+    parse_scenario,
 )
 
 
@@ -161,6 +163,126 @@ fair,4,0,0,0.25,0,0,0,0,0.25,0.25,2,0,0,1,1
 """
 
 
+# Exact stdout of a seeded simulation and of its judgement.  The simulated
+# counters and the empirical flows pin the random stream and the simulator;
+# the validate flows pin each flow's error rule, the aggregate's included.
+SEEDED_RUN = ("--preset", "dca", "--m", "2", "--n", "2", "--slots", "20000", "--seed", "3")
+
+SIMULATE_GOLDEN = """\
+{
+  "preset": "dca",
+  "config": {
+    "m": 2,
+    "n": 2,
+    "p_A": 0.2,
+    "p_F": 0.2,
+    "p_H": 0.2
+  },
+  "sim": {
+    "slots": 20000,
+    "warmup": 10000,
+    "capacity": 40,
+    "seed": 3,
+    "rng": "pcg64"
+  },
+  "empirical": {
+    "p": 1.0,
+    "hd_down": 0.097975,
+    "hd_up": 0.201725,
+    "fd_down": 0.2003,
+    "fd_up": 0.2003,
+    "sum": 1.4006
+  },
+  "counters": {
+    "total_slots": 20000,
+    "ap_wins": 3919,
+    "ap_wins_hd_head": 3919,
+    "fd_wins_no_packet": 8012
+  }
+}
+"""
+
+VALIDATE_GOLDEN = """\
+{
+  "preset": "dca",
+  "config": {
+    "m": 2,
+    "n": 2,
+    "p_A": 0.2,
+    "p_F": 0.2,
+    "p_H": 0.2
+  },
+  "sim": {
+    "slots": 20000,
+    "warmup": 10000,
+    "capacity": 40,
+    "seed": 3,
+    "rng": "pcg64"
+  },
+  "z_max": 4.0,
+  "theory": {
+    "p": 1.0,
+    "hd_down": 0.1,
+    "hd_up": 0.2,
+    "fd_down": 0.2,
+    "fd_up": 0.2,
+    "sum": 1.4
+  },
+  "flows": [
+    {
+      "name": "hd_down",
+      "theory": 0.1,
+      "mean": 0.097975,
+      "std_error": 0.00148640421298,
+      "z": -1.36234813001,
+      "verdict": "pass"
+    },
+    {
+      "name": "hd_up",
+      "theory": 0.2,
+      "mean": 0.201725,
+      "std_error": 0.00200643978464,
+      "z": 0.859731756322,
+      "verdict": "pass"
+    },
+    {
+      "name": "fd_down",
+      "theory": 0.2,
+      "mean": 0.2003,
+      "std_error": 0.00200112412159,
+      "z": 0.149915738241,
+      "verdict": "pass"
+    },
+    {
+      "name": "fd_up",
+      "theory": 0.2,
+      "mean": 0.2003,
+      "std_error": 0.00200112412159,
+      "z": 0.149915738241,
+      "verdict": "pass"
+    },
+    {
+      "name": "p",
+      "theory": 1.0,
+      "mean": 1.0,
+      "std_error": 0.0,
+      "z": null,
+      "verdict": "pass"
+    },
+    {
+      "name": "sum",
+      "theory": 1.4,
+      "mean": 1.4006,
+      "std_error": 0.00346496493489,
+      "z": 0.173161925525,
+      "verdict": "pass"
+    }
+  ],
+  "overall": "pass"
+}
+"""
+
+
 class TestGoldenOutput:
     def test_theory_bytes(self, capsys):
         code, out, err = run_cli(
@@ -172,6 +294,12 @@ class TestGoldenOutput:
 
     def test_sweep_bytes(self, capsys):
         assert run_cli(capsys, "sweep", "--total-stations", "4") == (0, SWEEP_GOLDEN, "")
+
+    def test_simulate_bytes(self, capsys):
+        assert run_cli(capsys, "simulate", *SEEDED_RUN) == (0, SIMULATE_GOLDEN, "")
+
+    def test_validate_bytes(self, capsys):
+        assert run_cli(capsys, "validate", *SEEDED_RUN) == (0, VALIDATE_GOLDEN, "")
 
 
 class TestSimulate:
@@ -321,6 +449,20 @@ class TestScenarioFiles:
         assert payload["sim"]["slots"] == 30000
         assert payload["sim"]["seed"] == 4
         assert payload["config"]["p_A"] == 0.6
+
+    def test_load_scenario_parses_the_file(self, tmp_path):
+        raw = {"m": 1, "n": 1, "p_A": 0.6, "p_F": 0.3, "p_H": 0.1, "sim": {"seed": 4}}
+        assert load_scenario(self.write(tmp_path, raw)) == parse_scenario(raw)
+
+    def test_load_scenario_names_a_malformed_file(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text("{not json")
+        with pytest.raises(ValueError, match="broken.json: not valid JSON"):
+            load_scenario(str(path))
+
+    def test_load_scenario_missing_file_raises_os_error(self, tmp_path):
+        with pytest.raises(OSError):
+            load_scenario(str(tmp_path / "absent.json"))
 
     def test_preset_scenario(self, capsys, tmp_path):
         path = self.write(tmp_path, {"preset": "fair", "m": 2, "n": 2})

@@ -30,7 +30,7 @@ from fdmix.simulator import (
     run,
     step,
 )
-from fdmix.stats import compare
+from fdmix.stats import compare, estimate
 
 from reference import run_reference
 from strategies import valid_configs
@@ -391,15 +391,15 @@ class TestEmpiricalReport:
 
     def test_flow_counts_cover_present_classes(self):
         assert set(flow_counts(run(DCA22, 2_000, seed=0), DCA22)) == {
-            "hd_down", "hd_up", "fd_down", "fd_up", "p",
+            "hd_down", "hd_up", "fd_down", "fd_up", "p", "sum",
         }
         fd_only = fairness_config(3, 0)  # the AP never transmits
         assert set(flow_counts(run(fd_only, 2_000, seed=0), fd_only)) == {
-            "fd_down", "fd_up",
+            "fd_down", "fd_up", "sum",
         }
         hd_only = dca_config(0, 2)
         assert set(flow_counts(run(hd_only, 2_000, seed=0), hd_only)) == {
-            "hd_down", "hd_up", "p",
+            "hd_down", "hd_up", "p", "sum",
         }
 
     def test_convergence_smoke(self):
@@ -409,8 +409,21 @@ class TestEmpiricalReport:
             assert result.overall, [(f.name, f.z) for f in result.flows]
 
 
+def _assert_rates_agree(name, windowed, reference):
+    """Two (count, trials) rates within 5 combined standard errors."""
+    est_w, est_r = estimate(*windowed), estimate(*reference)
+    se = math.hypot(est_w.std_error, est_r.std_error)
+    assert abs(est_w.mean - est_r.mean) <= max(5 * se, 1e-9), (
+        name, est_w.mean, est_r.mean, se,
+    )
+
+
 class TestAgainstUnboundedReference:
-    """The windowed queue must reproduce an unbounded backlog's rates."""
+    """The windowed queue must reproduce an unbounded backlog's rates.
+
+    Every flow of ``flow_counts`` is held to the reference, the aggregate
+    ``sum`` included, at the standard error ``stats.estimate`` gives it.
+    """
 
     @pytest.mark.parametrize("config", [DCA22, MIXED], ids=["dca22", "mixed11"])
     def test_flows_match_reference(self, config):
@@ -419,16 +432,7 @@ class TestAgainstUnboundedReference:
             run_reference(config, 150_000, seed=11), config
         )
         for name in windowed:
-            count_w, total_w = windowed[name]
-            count_r, total_r = reference[name]
-            mean_w, mean_r = count_w / total_w, count_r / total_r
-            se = math.hypot(
-                math.sqrt(mean_w * (1 - mean_w) / total_w),
-                math.sqrt(mean_r * (1 - mean_r) / total_r),
-            )
-            assert abs(mean_w - mean_r) <= max(5 * se, 1e-9), (
-                name, mean_w, mean_r, se,
-            )
+            _assert_rates_agree(name, windowed[name], reference[name])
 
     def test_critical_boundary_flows_match_reference(self):
         # fairness sits exactly on the saturation boundary; the head
@@ -440,13 +444,4 @@ class TestAgainstUnboundedReference:
             run_reference(config, 150_000, seed=11), config
         )
         for name in ("hd_down", "hd_up", "fd_down", "fd_up"):
-            count_w, total_w = windowed[name]
-            count_r, total_r = reference[name]
-            mean_w, mean_r = count_w / total_w, count_r / total_r
-            se = math.hypot(
-                math.sqrt(mean_w * (1 - mean_w) / total_w),
-                math.sqrt(mean_r * (1 - mean_r) / total_r),
-            )
-            assert abs(mean_w - mean_r) <= max(5 * se, 1e-9), (
-                name, mean_w, mean_r, se,
-            )
+            _assert_rates_agree(name, windowed[name], reference[name])

@@ -1,6 +1,7 @@
 """Theory-versus-simulation comparison: estimates, verdicts, controls."""
 
 import math
+import statistics
 
 import pytest
 
@@ -11,6 +12,7 @@ from fdmix.stats import (
     NOT_APPLICABLE,
     PASS,
     FlowEstimate,
+    _std_error,
     compare,
     estimate,
 )
@@ -37,6 +39,19 @@ class TestEstimate:
         small = estimate(10, 100).std_error
         large = estimate(1000, 10_000).std_error
         assert large == pytest.approx(small / 10)
+
+
+class TestStdError:
+    """One rule: the binomial error of the rate's fractional part."""
+
+    @pytest.mark.parametrize("rate, want", [
+        (0.0, 0.0),  # no trial counts
+        (1.0, 0.0),  # every trial counts one: p in saturation, sum with no two-way slot
+        (2.0, 0.0),  # every slot two-way
+        (1.45, math.sqrt(0.45 * 0.55 / 1000)),  # sum: 45% of slots two-way
+    ])
+    def test_value(self, rate, want):
+        assert _std_error(rate, 1000) == pytest.approx(want)
 
 
 def _by_name(result):
@@ -119,30 +134,58 @@ class TestCompare:
         q = theory.hd_down
         assert hd_down.z == pytest.approx(-q / math.sqrt(q * (1 - q) / 3))
         assert hd_down.verdict == PASS
-        down, up = 3 * theory.hd_down, 3 * theory.hd_up
-        error = math.hypot(math.sqrt(down * (1 - down)), math.sqrt(up * (1 - up)))
+        # an all-half-duplex aggregate is exactly 1 in theory too: no
+        # two-way slot, so both errors are zero and the match is exact
+        assert theory.sum == 1.0
         assert flows["sum"].estimate == FlowEstimate(mean=1.0, std_error=0.0)
-        assert flows["sum"].z == pytest.approx((1.0 - theory.sum) / error)
+        assert flows["sum"].z is None
+        assert flows["sum"].verdict == PASS
         assert compare(theory, stats, cfg).overall
 
     def test_degenerate_estimate_fails_on_any_gap(self):
+        # every slot two-way against a theory with 45% two-way slots: the
+        # estimate's error is zero, so z is in errors at the theory value
         cfg = fairness_config(3, 0)
         stats = run(cfg, 20_000, seed=1)
         flows = _by_name(compare(throughputs(MIXED), stats, cfg))
+        want = (2.0 - 1.45) / math.sqrt(0.45 * 0.55 / 20_000)
+        assert flows["sum"].z == pytest.approx(want)
+        assert flows["sum"].verdict == FAIL
+
+    def test_degenerate_estimate_fails_on_any_gap_at_zero_errors(self):
+        # every slot two-way against a theory with none: both errors are
+        # zero, so the verdict is the failed exact match
+        cfg = fairness_config(3, 0)
+        stats = run(cfg, 20_000, seed=1)
+        flows = _by_name(compare(throughputs(dca_config(0, 3)), stats, cfg))
+        assert flows["sum"].estimate == FlowEstimate(mean=2.0, std_error=0.0)
+        assert flows["sum"].theory == 1.0
         assert flows["sum"].z is None
         assert flows["sum"].verdict == FAIL
 
-    def test_sum_error_combines_both_directions(self):
+    def test_sum_error_is_that_of_the_two_way_fraction(self):
+        # every slot carries one packet; a two-way slot is one with a
+        # full-duplex station, so its fraction is that station's downlinks
         stats = run(MIXED, 50_000, seed=2)
         flows = _by_name(compare(throughputs(MIXED), stats, MIXED))
         t = stats.total_slots
-        down = sum(stats.down_slots) / t
-        up = sum(stats.up_slots) / t
-        want = math.hypot(
-            math.sqrt(down * (1 - down) / t), math.sqrt(up * (1 - up) / t)
-        )
-        assert flows["sum"].estimate.mean == pytest.approx(down + up)
-        assert flows["sum"].estimate.std_error == pytest.approx(want)
+        f = sum(stats.down_slots[MIXED.n:]) / t
+        assert flows["sum"].estimate.mean == pytest.approx(1 + f)
+        assert flows["sum"].estimate.std_error == pytest.approx(math.sqrt(f * (1 - f) / t))
+
+    def test_closed_form_just_short_of_two_passes(self):
+        # dca(2,0) closes at 1.9999999999999998 while every simulated slot
+        # is two-way: z is in the tiny error at the theory value
+        cfg = dca_config(2, 0)
+        theory = throughputs(cfg)
+        assert theory.sum == 1.9999999999999998
+        stats = run(cfg, 20_000, seed=1)
+        result = compare(theory, stats, cfg)
+        flows = _by_name(result)
+        assert flows["sum"].estimate == FlowEstimate(mean=2.0, std_error=0.0)
+        assert abs(flows["sum"].z) < 1e-3
+        assert flows["sum"].verdict == PASS
+        assert result.overall
 
     @pytest.mark.parametrize(
         "cfg", [MIXED, dca_config(0, 3), fairness_config(3, 0)],
@@ -166,7 +209,8 @@ class TestControlProperty:
     """Each config's own theory should pass against its own simulation.
 
     Five diverse configurations away from the saturation boundary, twenty
-    seeds each; at least 95% must pass at z_max = 4.  Run at 10^5 slots to
+    seeds each; at least 95% must pass at z_max = 4, and the aggregate's z
+    must spread about as a unit normal on each.  Run at 10^5 slots to
     keep the suite fast; scripts/validate_presets.py drives the same check
     at full length through the CLI.
     """
@@ -179,14 +223,24 @@ class TestControlProperty:
         NetworkConfig(3, 1, 0.7, 0.05, 0.15),      # AP-heavy, head 0.30
     ]
 
-    def test_pass_rate_at_least_95_percent(self):
-        passed = 0
-        trials = 0
-        for cfg in self.CONTROLS:
-            theory = throughputs(cfg)
-            for seed in range(20):
-                stats = run(cfg, 100_000, seed=seed)
-                trials += 1
-                passed += compare(theory, stats, cfg).overall
+    @pytest.fixture(scope="class")
+    def results(self):
+        """Each control's comparison at seeds 0..19, in CONTROLS order."""
+        return [
+            [compare(throughputs(cfg), run(cfg, 100_000, seed=seed), cfg) for seed in range(20)]
+            for cfg in self.CONTROLS
+        ]
+
+    def test_pass_rate_at_least_95_percent(self, results):
+        outcomes = [result.overall for runs in results for result in runs]
+        passed = sum(outcomes)
+        trials = len(outcomes)
         assert trials == 100
         assert passed >= 95, f"only {passed}/{trials} control runs passed"
+
+    def test_sum_z_spread_is_calibrated(self, results):
+        # a calibrated z has unit spread; over 20 seeds the sample sd of
+        # that spread is about 0.16, so [0.6, 1.6] holds a right error
+        for cfg, runs in zip(self.CONTROLS, results):
+            spread = statistics.stdev(_by_name(result)["sum"].z for result in runs)
+            assert 0.6 <= spread <= 1.6, (cfg, spread)
