@@ -127,7 +127,7 @@ def parse_scenario(raw) -> Scenario:
 
 def _read_json(path: str):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
 

@@ -370,37 +370,37 @@ def run(
     )
 
 
-def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int]]:
-    """(count, trials) per measured flow, the table every judged flow comes from.
+def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int] | None]:
+    """(count, trials) per judged flow, in the order ``validate`` prints them.
 
     ``hd_down``/``hd_up`` count packets per half-duplex station-slot,
     ``fd_down``/``fd_up`` per full-duplex station-slot, ``p`` the AP wins
     whose head was half-duplex, and ``sum`` every packet per slot: one per
-    slot plus one per two-way slot.  Flows of an absent station class are
-    left out, as is ``p`` when the AP never won a slot.
+    slot plus one per two-way slot.  A flow with no trials is None: both
+    flows of an absent station class, and ``p`` when the AP never won a slot.
     """
     if stats.total_slots <= 0:
         raise ValueError("no measured slots to report on")
     n, m, t = config.n, config.m, stats.total_slots
-    out = {}
-    if n > 0:
-        out["hd_down"] = (sum(stats.down_slots[:n]), n * t)
-        out["hd_up"] = (sum(stats.up_slots[:n]), n * t)
-    if m > 0:
-        out["fd_down"] = (sum(stats.down_slots[n:]), m * t)
-        out["fd_up"] = (sum(stats.up_slots[n:]), m * t)
-    if stats.ap_wins > 0:
-        out["p"] = (stats.ap_wins_hd_head, stats.ap_wins)
-    out["sum"] = (sum(stats.down_slots) + sum(stats.up_slots), t)
-    return out
+    down, up = stats.down_slots, stats.up_slots
+    flows = {
+        "hd_down": (sum(down[:n]), n * t),
+        "hd_up": (sum(up[:n]), n * t),
+        "fd_down": (sum(down[n:]), m * t),
+        "fd_up": (sum(up[n:]), m * t),
+        "p": (stats.ap_wins_hd_head, stats.ap_wins),
+        "sum": (sum(down) + sum(up), t),
+    }
+    return {name: entry if entry[1] else None for name, entry in flows.items()}
 
 
 def empirical_report(stats: SimStats, config: NetworkConfig) -> ThroughputReport:
     """Turn raw counters into per-station flow estimates.
 
-    Mirrors the analytic report: each flow is its ``flow_counts`` rate.
-    Flows of an absent class are 0; the head composition is reported as 0
-    when the AP never won a slot (no observations).
+    Mirrors the analytic report: each flow is its ``flow_counts`` rate, and
+    0 when that entry is None (an absent class, or ``p`` without AP wins).
     """
-    mean = {name: count / trials for name, (count, trials) in flow_counts(stats, config).items()}
-    return ThroughputReport(*(mean.get(name, 0.0) for name in ThroughputReport._fields))
+    return ThroughputReport(**{
+        name: entry[0] / entry[1] if entry else 0.0
+        for name, entry in flow_counts(stats, config).items()
+    })

@@ -1,10 +1,11 @@
 """Binomial comparison of simulated flow rates against the closed form.
 
-Every judged flow is one entry of ``simulator.flow_counts``: a count of
-packets (or of AP wins with a half-duplex head, for ``p``) over a number of
-trials.  A trial counts ``floor(rate)`` or one more: 0 or 1 for a station
-flow and ``p``, 1 or 2 for the aggregate ``sum``, since every slot carries
-one packet and a two-way slot a second.  One rule gives every error: the
+The judged flows, in order, are the entries of ``simulator.flow_counts``:
+a count of packets (or of AP wins with a half-duplex head, for ``p``) over
+a number of trials, or None (not applicable) when a flow has no trials.
+A trial counts ``floor(rate)`` or one more: 0 or 1 for a station flow and
+``p``, 1 or 2 for the aggregate ``sum``, since every slot carries one
+packet and a two-way slot a second.  One rule gives every error: the
 binomial error of the rate's fractional part, as if trials were
 independent.  That ignores slot-to-slot correlation introduced by the
 queue, and so understates the error of the head composition ``p``: away
@@ -88,12 +89,14 @@ def _check_z_max(z_max) -> float:
 
 
 def _judge(
-    name: str, theory_value: float, count: int, trials: int, z_max: float
+    name: str, theory_value: float, entry: tuple[int, int] | None, z_max: float
 ) -> FlowComparison:
+    if entry is None:
+        return FlowComparison(name, theory_value, None, None, NOT_APPLICABLE)
     # A degenerate estimate (every trial alike) is judged by the error at
     # the theory value, and must match exactly only when that is zero too.
-    est = estimate(count, trials)
-    error = est.std_error or _std_error(theory_value, trials)
+    est = estimate(*entry)
+    error = est.std_error or _std_error(theory_value, entry[1])
     if error > 0.0:
         z = (est.mean - theory_value) / error
         ok = abs(z) <= z_max
@@ -111,20 +114,15 @@ def compare(
     """Judge every flow of ``stats`` against ``theory`` at ``z_max``.
 
     ``z_max`` must be finite and > 0 (NaN, 0 or less would fail every flow
-    and inf pass every flow); the result holds it as a plain float.  Each
-    entry of ``flow_counts`` is judged by one rule, the binomial error of
-    its rate's fractional part (:func:`_std_error`); the aggregate ``sum``
-    is so judged as ``1 +`` its fraction of two-way slots.  Flows of an
-    absent station class are reported as not applicable, as is the head
-    composition when the AP never won a slot.
+    and inf pass every flow); the result holds it as a plain float.  The
+    flows, in order, are the entries of ``flow_counts``, each judged by one
+    rule (:func:`_std_error`, ``sum`` as ``1 +`` its two-way fraction) or
+    reported as not applicable when None.
     """
     z_max = _check_z_max(z_max)
-    counts = flow_counts(stats, config)
     flows = [
-        _judge(name, getattr(theory, name), *counts[name], z_max)
-        if name in counts
-        else FlowComparison(name, getattr(theory, name), None, None, NOT_APPLICABLE)
-        for name in ("hd_down", "hd_up", "fd_down", "fd_up", "p", "sum")
+        _judge(name, getattr(theory, name), entry, z_max)
+        for name, entry in flow_counts(stats, config).items()
     ]
     overall = all(f.verdict != FAIL for f in flows)
     return ComparisonResult(flows=flows, z_max=z_max, overall=overall)

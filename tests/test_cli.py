@@ -470,6 +470,15 @@ class TestScenarioFiles:
         assert payload["preset"] == "fair"
         assert payload["config"]["p_A"] == float(format(1 / 3, ".12g"))
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        # RFC 8259 section 8.1 lets a parser ignore a leading UTF-8 mark
+        plain = self.write(tmp_path, {"preset": "fair", "m": 2, "n": 2})
+        marked = tmp_path / "marked.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        expected = run_cli(capsys, "theory", "--scenario", plain)
+        assert expected[0] == 0
+        assert run_cli(capsys, "theory", "--scenario", str(marked)) == expected
+
     def test_flag_overrides_file(self, capsys, tmp_path):
         path = self.write(tmp_path, {
             "preset": "dca", "m": 1, "n": 1, "sim": {"slots": 30000},

@@ -30,7 +30,7 @@ from fdmix.simulator import (
     run,
     step,
 )
-from fdmix.stats import compare, estimate
+from fdmix.stats import NOT_APPLICABLE, compare, estimate
 
 from reference import run_reference
 from strategies import valid_configs
@@ -390,17 +390,27 @@ class TestEmpiricalReport:
             empirical_report(SimStats(down_slots=[0], up_slots=[0]), dca_config(0, 1))
 
     def test_flow_counts_cover_present_classes(self):
-        assert set(flow_counts(run(DCA22, 2_000, seed=0), DCA22)) == {
-            "hd_down", "hd_up", "fd_down", "fd_up", "p", "sum",
-        }
-        fd_only = fairness_config(3, 0)  # the AP never transmits
-        assert set(flow_counts(run(fd_only, 2_000, seed=0), fd_only)) == {
-            "fd_down", "fd_up", "sum",
-        }
-        hd_only = dca_config(0, 2)
-        assert set(flow_counts(run(hd_only, 2_000, seed=0), hd_only)) == {
-            "hd_down", "hd_up", "p", "sum",
-        }
+        def absent(config):
+            counts = flow_counts(run(config, 2_000, seed=0), config)
+            assert list(counts) == ["hd_down", "hd_up", "fd_down", "fd_up", "p", "sum"]
+            return [name for name, entry in counts.items() if entry is None]
+
+        assert absent(DCA22) == []
+        # fair(3,0) has p_A == 0, so the AP never wins and p has no trials
+        assert absent(fairness_config(3, 0)) == ["hd_down", "hd_up", "p"]
+        assert absent(dca_config(0, 2)) == ["fd_down", "fd_up"]
+
+    @pytest.mark.parametrize(
+        "config", [DCA22, dca_config(0, 3), fairness_config(3, 0)],
+        ids=["dca22", "dca03", "fair30"],
+    )
+    def test_compare_judges_exactly_the_flow_counts(self, config):
+        stats = run(config, 2_000, seed=0)
+        counts = flow_counts(stats, config)
+        flows = compare(throughputs(config), stats, config).flows
+        assert [f.name for f in flows] == list(counts)
+        for f in flows:
+            assert (f.verdict == NOT_APPLICABLE) == (counts[f.name] is None), f.name
 
     def test_convergence_smoke(self):
         for cfg in (DCA22, MIXED):
