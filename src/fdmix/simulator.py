@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
@@ -51,8 +51,9 @@ _BLOCK = 4096  # draws fetched from numpy per batch
 class Packet:
     """A downlink packet, identified by its destination station.
 
-    Slotted, because ``step()`` makes one or two per slot and a caller may
-    keep every outcome.
+    Frozen, because ``step()`` hands the same object to every caller that
+    sees that station; slotted, because its outcome tables hold one per
+    station.
     """
 
     dest_class: str  # HD or FD
@@ -183,30 +184,42 @@ def _refill(state: SimState) -> None:
         return
 
 
+@lru_cache(maxsize=16)
+def _outcomes(n: int, m: int) -> tuple[tuple[SlotOutcome, ...], tuple[SlotOutcome, ...]]:
+    """Every outcome ``step()`` can return, built once per ``(n, m)``: an AP
+    win by the code of its popped head, and a station win by the winner's code."""
+    to = [Packet(HD, i) for i in range(n)] + [Packet(FD, k) for k in range(m)]
+    ap = [SlotOutcome(AP, p, None, HD) for p in to[:n]] + [SlotOutcome(AP, p, p, FD) for p in to[n:]]
+    won = [SlotOutcome(HD, None, p, None) for p in to[:n]] + [SlotOutcome(FD, p, p, None) for p in to[n:]]
+    return tuple(ap), tuple(won)
+
+
 def step(state: SimState) -> SlotOutcome:
-    """Advance one slot, updating counters when ``state.measuring`` is set."""
+    """Advance one slot, updating counters when ``state.measuring`` is set.
+
+    The returned outcome is immutable and shared by every slot with the same
+    winner and, for an AP win, the same head.
+    """
     cfg = state.config
     n, m = cfg.n, cfg.m
     stats = state.stats
     measuring = state.measuring
     if measuring:
         stats.total_slots += 1
+    ap_won, station_won = _outcomes(n, m)
     u = next(state.uniforms)
     if u < cfg.p_A:
         # AP wins: serve the window head in FIFO order.
         head = state.queue.entries.popleft()
         _refill(state)
-        if head < n:
-            if measuring:
-                stats.ap_wins += 1
-                stats.ap_wins_hd_head += 1
-                stats.down_slots[head] += 1
-            return SlotOutcome(AP, Packet(HD, head), None, HD)
         if measuring:
             stats.ap_wins += 1
             stats.down_slots[head] += 1
-            stats.up_slots[head] += 1
-        return SlotOutcome(AP, Packet(FD, head - n), Packet(FD, head - n), FD)
+            if head < n:
+                stats.ap_wins_hd_head += 1
+            else:
+                stats.up_slots[head] += 1
+        return ap_won[head]
     if m > 0 and (n == 0 or u < cfg.p_A + m * cfg.p_F):
         # A full-duplex station wins and pulls its own packet out of turn.
         if cfg.p_F > 0.0:
@@ -226,7 +239,7 @@ def step(state: SimState) -> SlotOutcome:
         if measuring:
             stats.down_slots[code] += 1
             stats.up_slots[code] += 1
-        return SlotOutcome(FD, Packet(FD, k), Packet(FD, k), None)
+        return station_won[code]
     # A half-duplex station wins; uplink only, the queue is untouched.
     if cfg.p_H > 0.0:
         j = min(int((u - cfg.p_A - m * cfg.p_F) / cfg.p_H), n - 1)
@@ -234,43 +247,44 @@ def step(state: SimState) -> SlotOutcome:
         j = 0  # float spill, reached when a valid config closes short of 1
     if measuring:
         stats.up_slots[j] += 1
-    return SlotOutcome(HD, None, Packet(HD, j), None)
+    return station_won[j]
 
 
 def _winners(cfg: NetworkConfig, u: np.ndarray) -> np.ndarray:
     """Winner of each slot, picked from ``u`` with the float expressions of
     ``step()``: -1 for the AP, otherwise the winning station's code."""
     n, m = cfg.n, cfg.m
-    who = np.full(len(u), -1)
-    station = u >= cfg.p_A
-    if m > 0:
-        fd = station if n == 0 else station & (u < cfg.p_A + m * cfg.p_F)
-        if cfg.p_F > 0.0:
-            # min before truncation equals step()'s min(int(x), m - 1) for x >= 0
-            who[fd] = n + np.minimum((u[fd] - cfg.p_A) / cfg.p_F, m - 1).astype(np.int64)
-        else:
-            who[fd] = n  # float spill, reached as in step()
-        station &= ~fd
-    if n > 0:
-        if cfg.p_H > 0.0:
-            x = (u[station] - cfg.p_A - m * cfg.p_F) / cfg.p_H
-            who[station] = np.minimum(x, n - 1).astype(np.int64)
-        else:
-            who[station] = 0  # float spill, reached as in step()
-    return who
+    d = u - cfg.p_A
+    # Every slot is divided by every class probability, so a tiny p_F or p_H
+    # overflows to inf in slots that class did not win; the clip absorbs it.
+    with np.errstate(over="ignore"):
+        if n > 0:
+            station = _index(d - m * cfg.p_F, cfg.p_H, n)
+        if m > 0:
+            fd = n + _index(d, cfg.p_F, m)
+            station = fd if n == 0 else np.where(u < cfg.p_A + m * cfg.p_F, fd, station)
+    return np.where(u < cfg.p_A, -1, station)
+
+
+def _index(x: np.ndarray, p: float, count: int) -> np.ndarray | int:
+    """``step()``'s ``min(int(x / p), count - 1)`` wherever ``x / p > -1``,
+    and its float spill 0 when ``p`` is 0."""
+    if p > 0.0:
+        return np.clip(x / p, 0, count - 1).astype(np.int64)
+    return 0
 
 
 def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: list[int],
-           debt: list[int], dests: Iterator[int]) -> tuple[list[int], int]:
+           debt: list[int], dests: Iterator[int], served: list[int]) -> int:
     """Play AP wins (-1) and full-duplex wins (their codes) against the window.
 
-    Returns the popped heads and the number of full-duplex misses.  Mirrors
-    ``step()`` and ``_refill``, with ``in_window`` counting each code in the
-    window and ``debt`` indexed by code.  A full-duplex hit leaves its packet
-    in ``entries`` and counts it in ``gone``: the oldest packets of a code
-    are the ones taken, so the head skips the first ``gone[code]`` it meets.
+    Counts each popped head in ``served`` by its code and returns the number
+    of full-duplex misses.  Mirrors ``step()`` and ``_refill``, with
+    ``in_window`` counting each code in the window and ``debt`` indexed by
+    code.  A full-duplex hit leaves its packet in ``entries`` and counts it
+    in ``gone``: the oldest packets of a code are the ones taken, so the
+    head skips the first ``gone[code]`` it meets.
     """
-    heads = []
     misses = 0
     for code in codes:
         if code < 0:
@@ -278,7 +292,7 @@ def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: li
             while gone[code]:
                 gone[code] -= 1
                 code = entries.popleft()
-            heads.append(code)
+            served[code] += 1
         elif in_window[code]:
             gone[code] += 1
         else:
@@ -292,7 +306,7 @@ def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: li
             d = next(dests)
         entries.append(d)
         in_window[d] += 1
-    return heads, misses
+    return misses
 
 
 def _compact(entries: deque[int], gone: list[int]) -> deque[int]:
@@ -336,8 +350,9 @@ def run(
     in_window = np.bincount(list(entries), minlength=total).tolist()
     gone = [0] * total  # hit packets still in entries, per code
     debt = [0] * total
-    served = np.zeros(total, dtype=np.int64)  # measured AP wins by head code
-    won = np.zeros(total, dtype=np.int64)  # measured station wins by code
+    served = [0] * total  # measured AP wins by head code
+    unmeasured = [0] * total  # warmup AP wins, not reported
+    won = np.zeros(total + 1, dtype=np.int64)  # measured wins by code + 1, the AP's at 0
     misses = 0
     end = warmup_slots + measured_slots
     for start in range(0, end, _BLOCK):
@@ -347,25 +362,19 @@ def run(
         queued = (who < 0) | (who >= n)
         codes = who[queued].tolist()
         warm = int(np.count_nonzero(queued[:lo]))
-        _serve(codes[:warm], entries, in_window, gone, debt, state.dests)
-        heads, missed = _serve(codes[warm:], entries, in_window, gone, debt, state.dests)
-        misses += missed
+        _serve(codes[:warm], entries, in_window, gone, debt, state.dests, unmeasured)
+        misses += _serve(codes[warm:], entries, in_window, gone, debt, state.dests, served)
         if len(entries) > 4 * state.queue.capacity:  # amortised O(1) per hit
             entries = _compact(entries, gone)
-        if heads:
-            served += np.bincount(heads, minlength=total)
-        measured = who[lo:]
-        won += np.bincount(measured[measured >= 0], minlength=total)
-    down = served.copy()
-    down[n:] += won[n:]
-    up = won.copy()
-    up[n:] += served[n:]
+        won += np.bincount(who[lo:] + 1, minlength=total + 1)
+    wins = won[1:].tolist()
+    fd = [s + w for s, w in zip(served[n:], wins[n:])]  # answered in the same slot
     return SimStats(
         total_slots=measured_slots,
-        down_slots=down.tolist(),
-        up_slots=up.tolist(),
-        ap_wins=int(served.sum()),
-        ap_wins_hd_head=int(served[:n].sum()),
+        down_slots=served[:n] + fd,
+        up_slots=wins[:n] + fd,
+        ap_wins=sum(served),
+        ap_wins_hd_head=sum(served[:n]),
         fd_wins_no_packet=misses,
     )
 

@@ -21,6 +21,7 @@ from fdmix.simulator import (
     HD,
     Packet,
     SimStats,
+    SlotOutcome,
     _winners,
     default_capacity,
     default_warmup,
@@ -205,6 +206,16 @@ def _walk_checking_invariants(config, slots, seed):
     return state.stats, down, up, ap_wins, ap_hd, fd_misses
 
 
+_EDGE_NETWORKS = [
+    pytest.param(DCA22, id="dca22"),
+    pytest.param(MIXED, id="mixed11"),
+    pytest.param(dca_config(0, 3), id="dca03"),
+    pytest.param(fairness_config(3, 0), id="fair30"),
+    pytest.param(NetworkConfig(2, 2, 1.0, 0.0, 0.0), id="pA1"),
+    pytest.param(NetworkConfig(2, 1, 0.5, 0.25, 5e-324), id="pH-subnormal"),
+]
+
+
 class TestStepInvariants:
     @pytest.mark.parametrize("config,seed", [(DCA22, 0), (MIXED, 1)])
     def test_outcomes_and_counters_agree(self, config, seed):
@@ -235,6 +246,50 @@ class TestStepInvariants:
         code = encode_dest(config, outcome.uplink_from)
         assert code == 0
         assert _winners(config, np.array([u])).tolist() == [code]
+
+    @pytest.mark.parametrize("config", _EDGE_NETWORKS)
+    def test_winners_match_step_at_class_edges(self, config):
+        # the first and last draw of each class, and the draws just below
+        # those bounds; _winners divides every draw by every class
+        # probability, so a tiny one overflows where its class did not win
+        fd_bound = config.p_A + config.m * config.p_F
+        us = [0.0, config.p_A, np.nextafter(config.p_A, 0), fd_bound,
+              np.nextafter(fd_bound, 0), np.nextafter(1, 0)]
+        expected = []
+        for u in us:
+            state = new_sim(config)
+            state.uniforms = iter([float(u)])
+            outcome = step(state)
+            expected.append(-1 if outcome.winner == AP else encode_dest(config, outcome.uplink_from))
+        assert _winners(config, np.array(us)).tolist() == expected
+
+    @pytest.mark.parametrize("config", _EDGE_NETWORKS[:4])
+    def test_shared_outcomes_equal_fresh_ones(self, config):
+        # step() returns prebuilt outcomes; each must equal the one built
+        # anew for its winner and, for an AP win, its head
+        n, m = config.n, config.m
+        cases = []  # (head put at the window's front, draw, fresh outcome)
+        if config.p_A > 0:
+            for code in range(n + m):
+                to = Packet(HD, code) if code < n else Packet(FD, code - n)
+                fresh = SlotOutcome(AP, to, None, HD) if code < n else SlotOutcome(AP, to, to, FD)
+                cases.append((code, 0.0, fresh))
+        for k in range(m):
+            fresh = SlotOutcome(FD, Packet(FD, k), Packet(FD, k), None)
+            cases.append((None, config.p_A + (k + 0.5) * config.p_F, fresh))
+        for j in range(n):
+            fresh = SlotOutcome(HD, None, Packet(HD, j), None)
+            cases.append((None, config.p_A + m * config.p_F + (j + 0.5) * config.p_H, fresh))
+        for head, u, fresh in cases:
+            state = new_sim(config)
+            if head is not None:
+                state.queue.entries.appendleft(head)
+            state.uniforms = iter([u])
+            assert step(state) == fresh
+
+    def test_same_seed_same_outcomes(self):
+        a, b = new_sim(MIXED, seed=4), new_sim(MIXED, seed=4)
+        assert [step(a) for _ in range(3_000)] == [step(b) for _ in range(3_000)]
 
     def test_full_duplex_down_equals_up_per_station(self):
         stats = run(MIXED, 30_000, warmup_slots=0, seed=5)
