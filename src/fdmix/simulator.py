@@ -21,8 +21,9 @@ winning full-duplex station receives its own packet out of turn and answers
 it in the same slot, so its downlink and uplink counts advance together.  A
 winning half-duplex station only uplinks.
 
-:func:`step` plays one slot and is the readable definition; :func:`run`
-plays a whole span from the same draws and returns the same counters.
+:func:`_winners` is the one rule that turns draws into winners.  :func:`step`
+plays one slot from them and is the readable definition; :func:`run` plays a
+whole span from the same winners and returns the same counters.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class SimState:
     queue: ApQueue
     debt: list[int]  # per FD station, packets consumed beyond the window
     rng: np.random.Generator
-    uniforms: Iterator[float]  # one per slot, picks the winner
+    winners: Iterator[int]  # one per slot: -1 for the AP, else the winner's code
     dests: Iterator[int]  # backlog destinations for window refills
     stats: SimStats
     measuring: bool = True
@@ -153,7 +154,7 @@ def new_sim(
         queue=ApQueue(entries=entries, capacity=capacity),
         debt=[0] * config.m,
         rng=rng,
-        uniforms=_stream(rng.random),
+        winners=_stream(lambda size: _winners(config, rng.random(size))),
         dests=_stream(partial(rng.integers, 0, total)),
         stats=SimStats(
             down_slots=[0] * total,
@@ -200,15 +201,14 @@ def step(state: SimState) -> SlotOutcome:
     The returned outcome is immutable and shared by every slot with the same
     winner and, for an AP win, the same head.
     """
-    cfg = state.config
-    n, m = cfg.n, cfg.m
+    n = state.config.n
     stats = state.stats
     measuring = state.measuring
     if measuring:
         stats.total_slots += 1
-    ap_won, station_won = _outcomes(n, m)
-    u = next(state.uniforms)
-    if u < cfg.p_A:
+    ap_won, station_won = _outcomes(n, state.config.m)
+    code = next(state.winners)
+    if code < 0:
         # AP wins: serve the window head in FIFO order.
         head = state.queue.entries.popleft()
         _refill(state)
@@ -220,39 +220,28 @@ def step(state: SimState) -> SlotOutcome:
             else:
                 stats.up_slots[head] += 1
         return ap_won[head]
-    if m > 0 and (n == 0 or u < cfg.p_A + m * cfg.p_F):
+    if code >= n:
         # A full-duplex station wins and pulls its own packet out of turn.
-        if cfg.p_F > 0.0:
-            k = min(int((u - cfg.p_A) / cfg.p_F), m - 1)
-        else:
-            k = 0  # float spill, reached when a valid config closes short of 1
-        code = n + k
         entries = state.queue.entries
         if code in entries:
             entries.remove(code)
             _refill(state)
         else:
             # Served from beyond the window; settle the debt on refill.
-            state.debt[k] += 1
+            state.debt[code - n] += 1
             if measuring:
                 stats.fd_wins_no_packet += 1
         if measuring:
             stats.down_slots[code] += 1
-            stats.up_slots[code] += 1
-        return station_won[code]
-    # A half-duplex station wins; uplink only, the queue is untouched.
-    if cfg.p_H > 0.0:
-        j = min(int((u - cfg.p_A - m * cfg.p_F) / cfg.p_H), n - 1)
-    else:
-        j = 0  # float spill, reached when a valid config closes short of 1
+    # Every station win uplinks; a half-duplex one touches no queue.
     if measuring:
-        stats.up_slots[j] += 1
-    return station_won[j]
+        stats.up_slots[code] += 1
+    return station_won[code]
 
 
 def _winners(cfg: NetworkConfig, u: np.ndarray) -> np.ndarray:
-    """Winner of each slot, picked from ``u`` with the float expressions of
-    ``step()``: -1 for the AP, otherwise the winning station's code."""
+    """Winner of each slot with draw ``u``: -1 for the AP, otherwise the
+    winning station's code.  ``step()`` and ``run()`` both read it."""
     n, m = cfg.n, cfg.m
     d = u - cfg.p_A
     # Every slot is divided by every class probability, so a tiny p_F or p_H
@@ -267,8 +256,10 @@ def _winners(cfg: NetworkConfig, u: np.ndarray) -> np.ndarray:
 
 
 def _index(x: np.ndarray, p: float, count: int) -> np.ndarray | int:
-    """``step()``'s ``min(int(x / p), count - 1)`` wherever ``x / p > -1``,
-    and its float spill 0 when ``p`` is 0."""
+    """``x / p`` truncated to an index in ``[0, count)``; the clip absorbs
+    offsets that round below 0 or past the last station at a class edge.
+    ``p`` is 0 only in the sliver a valid config leaves short of 1, which
+    goes to station 0."""
     if p > 0.0:
         return np.clip(x / p, 0, count - 1).astype(np.int64)
     return 0

@@ -20,6 +20,29 @@ from fdmix.analytic import NetworkConfig, require_valid
 from fdmix.simulator import SimStats
 
 
+def classify(config: NetworkConfig, u: float) -> int:
+    """Winner of a slot with draw ``u``: -1 for the AP, otherwise the
+    winning station's code (half-duplex first, then full-duplex).
+
+    Spelled here with plain floats, apart from ``fdmix.simulator``.  An
+    index is clipped in floats before ``int``, since at a class edge the
+    offset can round below 0 or a tiny class probability can divide it to
+    inf.  A class of probability 0 is reached only in the sliver a valid
+    config leaves short of 1, and gives station 0.
+    """
+    n, m = config.n, config.m
+    if u < config.p_A:
+        return -1
+    x = u - config.p_A
+    if m > 0 and (n == 0 or u < config.p_A + m * config.p_F):
+        return n + _clipped(x, config.p_F, m)
+    return _clipped(x - m * config.p_F, config.p_H, n)
+
+
+def _clipped(x: float, p: float, count: int) -> int:
+    return int(min(max(x / p, 0.0), count - 1)) if p > 0.0 else 0
+
+
 def run_reference(
     config: NetworkConfig,
     measured_slots: int,
@@ -49,12 +72,11 @@ def run_reference(
     down = [0] * total
     up = [0] * total
     ap_wins = ap_wins_hd_head = 0
-    t_fd = config.p_A + m * config.p_F
 
     for slot in range(warmup_slots + measured_slots):
         measuring = slot >= warmup_slots
-        u = float(rng.random())
-        if u < config.p_A:
+        code = classify(config, float(rng.random()))
+        if code < 0:
             # AP serves the globally oldest packet.
             if backlog == 0:
                 grow_one()
@@ -71,26 +93,17 @@ def run_reference(
                     ap_wins_hd_head += 1
                 else:
                     up[head] += 1
-        elif m > 0 and (n == 0 or u < t_fd):
-            if config.p_F > 0.0:
-                k = min(int((u - config.p_A) / config.p_F), m - 1)
-            else:
-                k = 0
-            # Materialise backlog until station k's next packet exists.
-            while not fifos[n + k]:
+        elif code >= n:
+            # Materialise backlog until the station's next packet exists.
+            while not fifos[code]:
                 grow_one()
-            fifos[n + k].popleft()
+            fifos[code].popleft()
             backlog -= 1
             if measuring:
-                down[n + k] += 1
-                up[n + k] += 1
-        else:
-            if config.p_H > 0.0:
-                j = min(int((u - t_fd) / config.p_H), n - 1)
-            else:
-                j = 0
-            if measuring:
-                up[j] += 1
+                down[code] += 1
+                up[code] += 1
+        elif measuring:
+            up[code] += 1
 
     return SimStats(
         total_slots=measured_slots,

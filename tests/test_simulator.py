@@ -33,8 +33,8 @@ from fdmix.simulator import (
 )
 from fdmix.stats import NOT_APPLICABLE, compare, estimate
 
-from reference import run_reference
-from strategies import valid_configs
+from reference import classify, run_reference
+from strategies import edge_configs, valid_configs
 
 DCA22 = dca_config(2, 2)
 MIXED = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
@@ -206,6 +206,18 @@ def _walk_checking_invariants(config, slots, seed):
     return state.stats, down, up, ap_wins, ap_hd, fd_misses
 
 
+def _code_of(config, outcome):
+    """The winner code of a ``step()`` outcome: -1 for the AP."""
+    return -1 if outcome.winner == AP else encode_dest(config, outcome.uplink_from)
+
+
+# Valid networks with a tiny p_H, on which the half-duplex offset of a draw
+# at the full-duplex bound (the first) or at 1 - 2**-52 (the second) rounds
+# below 0; each draw belongs to half-duplex station 0.
+_TINY_PH = [
+    NetworkConfig(1, 1, 0.763774618976614, 0.2362253810231309, 1e-300),
+    NetworkConfig(2, 1, 0.34675854484918295, 0.32662072757540844, 1e-16),
+]
 _EDGE_NETWORKS = [
     pytest.param(DCA22, id="dca22"),
     pytest.param(MIXED, id="mixed11"),
@@ -213,7 +225,34 @@ _EDGE_NETWORKS = [
     pytest.param(fairness_config(3, 0), id="fair30"),
     pytest.param(NetworkConfig(2, 2, 1.0, 0.0, 0.0), id="pA1"),
     pytest.param(NetworkConfig(2, 1, 0.5, 0.25, 5e-324), id="pH-subnormal"),
+    pytest.param(_TINY_PH[0], id="pH-1e-300"),
+    pytest.param(_TINY_PH[1], id="pH-1e-16"),
+    # at 1 - 2**-52, u - (p_A + m*p_F) in one subtraction gives half-duplex
+    # station 0, the two subtractions of _winners station 1
+    pytest.param(NetworkConfig(1, 3, 0.31865429249351523, 0.6813457075064845, 8.656991294376404e-17),
+                 id="pH-9e-17-n3"),
 ]
+
+
+def _edge_draws(config):
+    """Draws at the class bounds and their float neighbours, and the two
+    largest draws ``rng.random`` returns."""
+    bounds = (config.p_A, config.p_A + config.m * config.p_F)
+    near = [np.nextafter(b, d) for b in bounds for d in (0, 1)]
+    us = [0.0, *bounds, *near, 1 - 2**-52, 1 - 2**-53]
+    return [float(u) for u in us if 0 <= u < 1]
+
+
+def _check_edge_draws(config):
+    """``_winners`` and the reference classify every edge draw alike, and
+    a fresh state fed those winners plays each and keeps fd down == up."""
+    us = _edge_draws(config)
+    codes = _winners(config, np.array(us)).tolist()
+    assert codes == [classify(config, u) for u in us]
+    state = new_sim(config)
+    state.winners = iter(codes)
+    assert [_code_of(config, step(state)) for _ in codes] == codes
+    assert state.stats.down_slots[config.n:] == state.stats.up_slots[config.n:]
 
 
 class TestStepInvariants:
@@ -234,57 +273,57 @@ class TestStepInvariants:
     @pytest.mark.parametrize("config,winner", [
         (NetworkConfig(1, 0, 1 - 5e-10, 0.0, 0.0), FD),
         (NetworkConfig(1, 1, 0.5, 0.5 - 5e-10, 0.0), HD),
+        pytest.param(_TINY_PH[0], HD, id="pH-1e-300"),
+        pytest.param(_TINY_PH[1], HD, id="pH-1e-16"),
     ])
     def test_short_closure_gives_the_last_sliver_to_station_zero(self, config, winner):
         # valid within CLOSURE_TOL, so a draw can pass every class bound and
-        # reach a class whose probability is 0; step() and _winners agree
-        u = 1 - 1e-10
+        # reach a class whose probability is 0 (the first two), or round
+        # below the first station of a tiny one (_TINY_PH): from the
+        # full-duplex bound on, every draw is station 0's
+        us = [config.p_A + config.m * config.p_F, 1 - 2**-52, 1 - 2**-53]
+        codes = _winners(config, np.array(us)).tolist()
+        assert codes == [classify(config, u) for u in us]
         state = new_sim(config)
-        state.uniforms = iter([u])
-        outcome = step(state)
-        assert outcome.winner == winner
-        code = encode_dest(config, outcome.uplink_from)
-        assert code == 0
-        assert _winners(config, np.array([u])).tolist() == [code]
+        state.winners = iter(codes)
+        for _ in us:
+            outcome = step(state)
+            assert outcome.winner == winner
+            assert encode_dest(config, outcome.uplink_from) == 0
+        assert state.stats.down_slots[config.n:] == state.stats.up_slots[config.n:]
 
     @pytest.mark.parametrize("config", _EDGE_NETWORKS)
     def test_winners_match_step_at_class_edges(self, config):
-        # the first and last draw of each class, and the draws just below
-        # those bounds; _winners divides every draw by every class
-        # probability, so a tiny one overflows where its class did not win
-        fd_bound = config.p_A + config.m * config.p_F
-        us = [0.0, config.p_A, np.nextafter(config.p_A, 0), fd_bound,
-              np.nextafter(fd_bound, 0), np.nextafter(1, 0)]
-        expected = []
-        for u in us:
-            state = new_sim(config)
-            state.uniforms = iter([float(u)])
-            outcome = step(state)
-            expected.append(-1 if outcome.winner == AP else encode_dest(config, outcome.uplink_from))
-        assert _winners(config, np.array(us)).tolist() == expected
+        # _winners divides every draw by every class probability, so a tiny
+        # one overflows where its class did not win
+        _check_edge_draws(config)
+
+    @settings(max_examples=200, deadline=None)
+    @given(config=edge_configs())
+    def test_winners_match_reference_on_tiny_classes(self, config):
+        _check_edge_draws(config)
 
     @pytest.mark.parametrize("config", _EDGE_NETWORKS[:4])
     def test_shared_outcomes_equal_fresh_ones(self, config):
         # step() returns prebuilt outcomes; each must equal the one built
         # anew for its winner and, for an AP win, its head
         n, m = config.n, config.m
-        cases = []  # (head put at the window's front, draw, fresh outcome)
-        if config.p_A > 0:
-            for code in range(n + m):
-                to = Packet(HD, code) if code < n else Packet(FD, code - n)
-                fresh = SlotOutcome(AP, to, None, HD) if code < n else SlotOutcome(AP, to, to, FD)
-                cases.append((code, 0.0, fresh))
+        cases = []  # (head put at the window's front, winner code, fresh outcome)
+        for code in range(n + m):
+            to = Packet(HD, code) if code < n else Packet(FD, code - n)
+            fresh = SlotOutcome(AP, to, None, HD) if code < n else SlotOutcome(AP, to, to, FD)
+            cases.append((code, -1, fresh))
         for k in range(m):
             fresh = SlotOutcome(FD, Packet(FD, k), Packet(FD, k), None)
-            cases.append((None, config.p_A + (k + 0.5) * config.p_F, fresh))
+            cases.append((None, n + k, fresh))
         for j in range(n):
             fresh = SlotOutcome(HD, None, Packet(HD, j), None)
-            cases.append((None, config.p_A + m * config.p_F + (j + 0.5) * config.p_H, fresh))
-        for head, u, fresh in cases:
+            cases.append((None, j, fresh))
+        for head, code, fresh in cases:
             state = new_sim(config)
             if head is not None:
                 state.queue.entries.appendleft(head)
-            state.uniforms = iter([u])
+            state.winners = iter([code])
             assert step(state) == fresh
 
     def test_same_seed_same_outcomes(self):
