@@ -21,9 +21,10 @@ winning full-duplex station receives its own packet out of turn and answers
 it in the same slot, so its downlink and uplink counts advance together.  A
 winning half-duplex station only uplinks.
 
-:func:`_winners` is the one rule that turns draws into winners.  :func:`step`
-plays one slot from them and is the readable definition; :func:`run` plays a
-whole span from the same winners and returns the same counters.
+:func:`_winners` is the one rule that turns draws into winners, and
+:func:`_as_stats` the one that turns tallies of measured slots into counters.
+:func:`step` plays one slot and is the readable definition; :func:`run` plays
+a whole span from the same winners and keeps the same tallies.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class ApQueue:
 
 @dataclass
 class SimStats:
-    """Counters accumulated over measured slots.
+    """Counters over measured slots, built from tallies by :func:`_as_stats`.
 
     Per-station lists are indexed by encoded destination: half-duplex
     stations occupy 0..n-1, full-duplex stations n..n+m-1.
@@ -116,8 +117,29 @@ class SimState:
     rng: np.random.Generator
     winners: Iterator[int]  # one per slot: -1 for the AP, else the winner's code
     dests: Iterator[int]  # backlog destinations for window refills
-    stats: SimStats
+    served: list[int]  # measured AP wins, by head code
+    won: list[int]  # measured station wins, by winner code
+    misses: int = 0  # measured full-duplex wins served from beyond the window
     measuring: bool = True
+
+    @property
+    def stats(self) -> SimStats:
+        """Counters of the slots measured so far, a snapshot taken when read."""
+        return _as_stats(self.served, self.won, self.misses, self.config.n)
+
+
+def _as_stats(served: list[int], won: list[int], misses: int, n: int) -> SimStats:
+    """Counters from the tallies ``step()`` and ``run()`` keep: each slot adds
+    one tally, and a full-duplex head or winner answers in the same slot."""
+    fd = [s + w for s, w in zip(served[n:], won[n:])]
+    return SimStats(
+        total_slots=sum(served) + sum(won),
+        down_slots=served[:n] + fd,
+        up_slots=won[:n] + fd,
+        ap_wins=sum(served),
+        ap_wins_hd_head=sum(served[:n]),
+        fd_wins_no_packet=misses,
+    )
 
 
 def default_capacity(config: NetworkConfig) -> int:
@@ -156,10 +178,8 @@ def new_sim(
         rng=rng,
         winners=_stream(lambda size: _winners(config, rng.random(size))),
         dests=_stream(partial(rng.integers, 0, total)),
-        stats=SimStats(
-            down_slots=[0] * total,
-            up_slots=[0] * total,
-        ),
+        served=[0] * total,
+        won=[0] * total,
     )
 
 
@@ -173,16 +193,12 @@ def _refill(state: SimState) -> None:
     # Draw backlog destinations until one survives the debt filter; draws
     # matching a station with positive debt materialise packets that were
     # already consumed out of turn.
-    n = state.config.n
-    debt = state.debt
-    dests = state.dests
-    while True:
+    n, debt, dests = state.config.n, state.debt, state.dests
+    d = next(dests)
+    while d >= n and debt[d - n]:
+        debt[d - n] -= 1
         d = next(dests)
-        if d >= n and debt[d - n] > 0:
-            debt[d - n] -= 1
-            continue
-        state.queue.entries.append(d)
-        return
+    state.queue.entries.append(d)
 
 
 @lru_cache(maxsize=16)
@@ -196,16 +212,13 @@ def _outcomes(n: int, m: int) -> tuple[tuple[SlotOutcome, ...], tuple[SlotOutcom
 
 
 def step(state: SimState) -> SlotOutcome:
-    """Advance one slot, updating counters when ``state.measuring`` is set.
+    """Advance one slot, tallying it when ``state.measuring`` is set.
 
     The returned outcome is immutable and shared by every slot with the same
     winner and, for an AP win, the same head.
     """
     n = state.config.n
-    stats = state.stats
     measuring = state.measuring
-    if measuring:
-        stats.total_slots += 1
     ap_won, station_won = _outcomes(n, state.config.m)
     code = next(state.winners)
     if code < 0:
@@ -213,12 +226,7 @@ def step(state: SimState) -> SlotOutcome:
         head = state.queue.entries.popleft()
         _refill(state)
         if measuring:
-            stats.ap_wins += 1
-            stats.down_slots[head] += 1
-            if head < n:
-                stats.ap_wins_hd_head += 1
-            else:
-                stats.up_slots[head] += 1
+            state.served[head] += 1
         return ap_won[head]
     if code >= n:
         # A full-duplex station wins and pulls its own packet out of turn.
@@ -230,12 +238,10 @@ def step(state: SimState) -> SlotOutcome:
             # Served from beyond the window; settle the debt on refill.
             state.debt[code - n] += 1
             if measuring:
-                stats.fd_wins_no_packet += 1
-        if measuring:
-            stats.down_slots[code] += 1
-    # Every station win uplinks; a half-duplex one touches no queue.
+                state.misses += 1
+    # A half-duplex win touches no queue.
     if measuring:
-        stats.up_slots[code] += 1
+        state.won[code] += 1
     return station_won[code]
 
 
@@ -270,11 +276,11 @@ def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: li
     """Play AP wins (-1) and full-duplex wins (their codes) against the window.
 
     Counts each popped head in ``served`` by its code and returns the number
-    of full-duplex misses.  Mirrors ``step()`` and ``_refill``, with
-    ``in_window`` counting each code in the window and ``debt`` indexed by
-    code.  A full-duplex hit leaves its packet in ``entries`` and counts it
-    in ``gone``: the oldest packets of a code are the ones taken, so the
-    head skips the first ``gone[code]`` it meets.
+    of full-duplex misses: two of the tallies ``step()`` keeps.  Mirrors
+    ``step()`` and ``_refill``, with ``in_window`` counting each code in the
+    window and ``debt`` indexed by code.  A full-duplex hit leaves its packet
+    in ``entries`` and counts it in ``gone``: the oldest packets of a code
+    are the ones taken, so the head skips the first ``gone[code]`` it meets.
     """
     misses = 0
     for code in codes:
@@ -358,16 +364,7 @@ def run(
         if len(entries) > 4 * state.queue.capacity:  # amortised O(1) per hit
             entries = _compact(entries, gone)
         won += np.bincount(who[lo:] + 1, minlength=total + 1)
-    wins = won[1:].tolist()
-    fd = [s + w for s, w in zip(served[n:], wins[n:])]  # answered in the same slot
-    return SimStats(
-        total_slots=measured_slots,
-        down_slots=served[:n] + fd,
-        up_slots=wins[:n] + fd,
-        ap_wins=sum(served),
-        ap_wins_hd_head=sum(served[:n]),
-        fd_wins_no_packet=misses,
-    )
+    return _as_stats(served, won[1:].tolist(), misses, n)
 
 
 def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int] | None]:

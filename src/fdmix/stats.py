@@ -18,6 +18,7 @@ So a correct subcritical network such as (2,3,0.4,0.1,0.4/3) still fails
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .analytic import NetworkConfig, ThroughputReport
@@ -82,7 +83,9 @@ def estimate(count: int, total: int) -> FlowEstimate:
 
 
 def _check_z_max(z_max) -> float:
-    """``z_max`` as a plain float; ValueError unless it is finite and > 0."""
+    """``z_max`` as a plain float; ValueError unless a finite real > 0, not bool."""
+    if type(z_max) is bool or not isinstance(z_max, numbers.Real):
+        raise ValueError(f"z_max must be a number, got {z_max!r}")
     if not (math.isfinite(z_max) and z_max > 0):
         raise ValueError(f"z_max must be finite and > 0, got {z_max!r}")
     return float(z_max)

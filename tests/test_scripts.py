@@ -1,4 +1,4 @@
-"""Smoke runs of the two study scripts at tiny sizes.
+"""Smoke runs of the scripts: the two studies at tiny sizes, and the digest.
 
 Only the exit code and the shape of the output are checked: at these run
 lengths the verdict on the head composition depends on the seed.
@@ -47,3 +47,13 @@ def test_validate_presets(capsys):
     failing = int(lines[-1].split()[0])
     assert lines[-1] == f"{failing} failing run(s)"
     assert code == (1 if failing else 0)
+
+
+def test_seeded_digest(capsys):
+    main = script_main("seeded_digest.py")
+    assert main() == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[1] for line in lines] == ["run", "step", "cli"]
+    assert all(len(line.split("  ")[0]) == 64 for line in lines)
+    assert main() == 0
+    assert capsys.readouterr().out.splitlines() == lines

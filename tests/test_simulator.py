@@ -162,15 +162,18 @@ class TestDestinationCodes:
             encode_dest(cfg, Packet("xx", 0))
 
 
-def _walk_checking_invariants(config, slots, seed):
-    """Step ``slots`` times asserting per-slot invariants; return tallies."""
-    state = new_sim(config, seed=seed)
+def _walk_checking_invariants(config, slots, seed, warmup=0, capacity=None):
+    """Step ``warmup`` unmeasured slots, then ``slots`` measured ones,
+    asserting per-slot invariants in every slot; return the measured
+    slots' tallies, counted from the outcomes alone."""
+    state = new_sim(config, capacity=capacity, seed=seed)
     capacity = state.queue.capacity
     n, m = config.n, config.m
     down = [0] * (n + m)
     up = [0] * (n + m)
     ap_wins = ap_hd = fd_misses = 0
-    for _ in range(slots):
+    for slot in range(warmup + slots):
+        state.measuring = measured = slot >= warmup
         before = list(state.queue.entries)
         outcome = step(state)
         # window size is restored by the end of every slot
@@ -178,11 +181,11 @@ def _walk_checking_invariants(config, slots, seed):
         if outcome.winner == AP:
             assert outcome.downlink_to is not None
             assert outcome.head_class_at_win in (HD, FD)
-            ap_wins += 1
+            ap_wins += measured
             if outcome.head_class_at_win == HD:
                 assert outcome.downlink_to.dest_class == HD
                 assert outcome.uplink_from is None
-                ap_hd += 1
+                ap_hd += measured
             else:
                 assert outcome.uplink_from == outcome.downlink_to
             # the popped head is the oldest window entry
@@ -192,7 +195,7 @@ def _walk_checking_invariants(config, slots, seed):
             assert outcome.downlink_to.dest_class == FD
             assert outcome.head_class_at_win is None
             if encode_dest(config, outcome.downlink_to) not in before:
-                fd_misses += 1
+                fd_misses += measured
         else:
             # a half-duplex winner only uplinks
             assert outcome.winner == HD
@@ -200,9 +203,9 @@ def _walk_checking_invariants(config, slots, seed):
             assert outcome.uplink_from.dest_class == HD
             assert outcome.head_class_at_win is None
         if outcome.downlink_to is not None:
-            down[encode_dest(config, outcome.downlink_to)] += 1
+            down[encode_dest(config, outcome.downlink_to)] += measured
         if outcome.uplink_from is not None:
-            up[encode_dest(config, outcome.uplink_from)] += 1
+            up[encode_dest(config, outcome.uplink_from)] += measured
     return state.stats, down, up, ap_wins, ap_hd, fd_misses
 
 
@@ -256,10 +259,19 @@ def _check_edge_draws(config):
 
 
 class TestStepInvariants:
-    @pytest.mark.parametrize("config,seed", [(DCA22, 0), (MIXED, 1)])
-    def test_outcomes_and_counters_agree(self, config, seed):
+    @pytest.mark.parametrize("config,seed,warmup,capacity", [
+        pytest.param(DCA22, 0, 0, None, id="config0-0"),
+        pytest.param(MIXED, 1, 0, None, id="config1-1"),
+        # 4097 unmeasured slots cross a 4096-draw block edge
+        pytest.param(dca_config(0, 3), 3, 4097, None, id="dca03-no-fd-w4097"),
+        pytest.param(fairness_config(3, 0), 17, 4097, None, id="fair30-no-ap-w4097"),
+        pytest.param(NetworkConfig(2, 2, 1.0, 0.0, 0.0), 0, 4097, None, id="pA1-only-ap-w4097"),
+        pytest.param(dca_config(40, 1), 3, 4097, 1, id="dca401-misses-w4097-cap1"),
+    ])
+    def test_outcomes_and_counters_agree(self, config, seed, warmup, capacity):
+        # the tallies are counted from step()'s outcomes, apart from _as_stats
         stats, down, up, ap_wins, ap_hd, fd_misses = _walk_checking_invariants(
-            config, 20_000, seed
+            config, 20_000, seed, warmup, capacity
         )
         assert stats.total_slots == 20_000
         assert stats.down_slots == down

@@ -83,9 +83,10 @@ class TestCompare:
         assert not strict.overall
         assert strict.z_max == 0.01
 
-    @pytest.mark.parametrize("z_max", [math.nan, -1.0, 0.0, math.inf])
+    @pytest.mark.parametrize("z_max", [math.nan, -1.0, 0.0, math.inf, True, None, "4"])
     def test_z_max_must_be_finite_and_positive(self, z_max):
-        # nan, -1 and 0 would fail every flow and inf would pass every flow
+        # nan, -1 and 0 would fail every flow and inf would pass every flow;
+        # True is no threshold of 1, and None or "4" no number at all
         cfg = dca_config(2, 2)
         stats = run(cfg, 1_000, seed=0)
         with pytest.raises(ValueError, match="z_max"):
