@@ -5,7 +5,9 @@ Prints one sha256 line per section:
 
 - ``run``: the ``SimStats`` repr of ``run()`` over a panel of networks, at
   seeds 0 and 3 and warmups of 4095 and 4097 slots, either side of a
-  4096-draw block edge;
+  4096-draw block edge, then over runs that each take their own path: no
+  AP, a compacted window, a crowded small window, a one-packet window, and
+  a run that ends on a block edge;
 - ``step``: the outcomes of ``step()`` walks over the same runs, and each
   walk's final ``state.stats``, window and debt;
 - ``cli``: stdout, stderr and exit code of ``theory``, ``simulate``,
@@ -36,8 +38,17 @@ PANEL = {
     "dca401": dca_config(40, 1),
     "fair2020": fairness_config(20, 20),
 }
-RUNS = [(config, seed, warmup) for config in PANEL.values() for seed in (0, 3) for warmup in (4095, 4097)]
-SLOTS = 2_000  # measured slots per run
+# (config, seed, warmup slots, measured slots, capacity); None is the default window.
+RUNS = [
+    (config, seed, warmup, 2_000, None)
+    for config in PANEL.values() for seed in (0, 3) for warmup in (4095, 4097)
+] + [
+    (fairness_config(3, 0), 0, 4097, 2_000, 2),  # p_A = 0: the head never moves
+    (dca_config(300, 0), 0, 4097, 2_000, 50),  # hits pile up until run() compacts
+    (dca_config(100, 100), 0, 4097, 2_000, 50),
+    (dca_config(40, 1), 0, 4097, 2_000, 1),
+    (dca_config(2, 2), 0, 4096, 4096, None),  # ends on a block edge
+]
 
 EXPLICIT = ["--m", "1", "--n", "1", "--pA", "0.6", "--pF", "0.3", "--pH", "0.1"]
 COMMANDS = [
@@ -46,6 +57,7 @@ COMMANDS = [
     ["theory", *EXPLICIT],
     ["simulate", "--preset", "dca", "--m", "2", "--n", "2", "--slots", "20000", "--seed", "3"],
     ["simulate", *EXPLICIT, "--slots", "20000", "--warmup", "4097", "--capacity", "3"],
+    ["simulate", "--preset", "dca", "--m", "100", "--n", "100", "--slots", "5000", "--capacity", "50"],
     ["validate", "--preset", "fair", "--m", "2", "--n", "2", "--slots", "20000"],
     ["validate", "--preset", "dca", "--m", "40", "--n", "1", "--slots", "20000", "--capacity", "1"],
     ["validate", "--preset", "dca", "--m", "1", "--n", "1", "--slots", "100", "--z-max", "0"],
@@ -55,18 +67,18 @@ COMMANDS = [
 
 
 def run_section():
-    for config, seed, warmup in RUNS:
-        yield repr(run(config, SLOTS, warmup_slots=warmup, seed=seed))
+    for config, seed, warmup, slots, capacity in RUNS:
+        yield repr(run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed))
 
 
 def step_section():
-    for config, seed, warmup in RUNS:
-        state = new_sim(config, seed=seed)
+    for config, seed, warmup, slots, capacity in RUNS:
+        state = new_sim(config, capacity=capacity, seed=seed)
         state.measuring = False
         for _ in range(warmup):
             step(state)
         state.measuring = True
-        yield repr([step(state) for _ in range(SLOTS)])
+        yield repr([step(state) for _ in range(slots)])
         yield repr((state.stats, list(state.queue.entries), state.debt))
 
 

@@ -21,9 +21,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="sweep.csv", help="CSV destination")
     args = parser.parse_args(argv)
 
-    csv_text = cmd_sweep(args.total_stations)
-    with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(csv_text)
+    try:
+        csv_text = cmd_sweep(args.total_stations)
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(csv_text)
+    except (ValueError, OSError) as exc:
+        parser.error(str(exc))
     print(f"wrote {args.out}")
 
     rows = {}

@@ -39,7 +39,10 @@ def main(argv=None) -> int:
     for name, config in CASES:
         for seed in range(args.seeds):
             scenario = Scenario(config=config, slots=args.slots, seed=seed)
-            payload, code = cmd_validate(scenario, args.z_max)
+            try:
+                payload, code = cmd_validate(scenario, args.z_max)
+            except (ValueError, OSError) as exc:
+                parser.error(str(exc))
             cells = []
             for flow in payload["flows"]:
                 if flow["verdict"] == NOT_APPLICABLE:

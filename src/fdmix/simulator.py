@@ -21,10 +21,11 @@ winning full-duplex station receives its own packet out of turn and answers
 it in the same slot, so its downlink and uplink counts advance together.  A
 winning half-duplex station only uplinks.
 
+Only the streams :func:`new_sim` builds draw from the generator.
 :func:`_winners` is the one rule that turns draws into winners, and
 :func:`_as_stats` the one that turns tallies of measured slots into counters.
 :func:`step` plays one slot and is the readable definition; :func:`run` plays
-a whole span from the same winners and keeps the same tallies.
+a whole span from the same streams and keeps the same tallies.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from typing import Callable, Iterator, NamedTuple
+from itertools import chain, repeat
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -46,7 +48,7 @@ AP = "ap"
 # CLI output so results can be tied to the bit stream that produced them.
 RNG_ALGORITHM = "pcg64"
 
-_BLOCK = 4096  # draws fetched from numpy per batch
+_BLOCK = 4096  # uniforms or destinations a stream draws from numpy at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,10 +113,12 @@ class SimStats:
 
 @dataclass
 class SimState:
+    """A simulation in progress; its streams, from ``new_sim``, draw a block when first read."""
+
     config: NetworkConfig
     queue: ApQueue
     debt: list[int]  # per FD station, packets consumed beyond the window
-    rng: np.random.Generator
+    draws: Iterator[np.ndarray]  # blocks of _BLOCK uniforms, one per slot; winners classifies them
     winners: Iterator[int]  # one per slot: -1 for the AP, else the winner's code
     dests: Iterator[int]  # backlog destinations for window refills
     served: list[int]  # measured AP wins, by head code
@@ -161,7 +165,7 @@ def new_sim(
 
     ``capacity`` defaults to 10 * (m + n).  The initial window is filled
     with independent uniform destinations, the stationary condition for the
-    un-consumed part of the backlog.
+    un-consumed part of the backlog.  Later draws come only from its streams.
     """
     config = require_valid(config)
     total = config.m + config.n
@@ -171,22 +175,18 @@ def new_sim(
     seed = as_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     entries: deque[int] = deque(rng.integers(0, total, capacity).tolist())
+    draws = map(rng.random, repeat(_BLOCK))
+    dest_blocks = map(partial(rng.integers, 0, total), repeat(_BLOCK))
     return SimState(
         config=config,
         queue=ApQueue(entries=entries, capacity=capacity),
         debt=[0] * config.m,
-        rng=rng,
-        winners=_stream(lambda size: _winners(config, rng.random(size))),
-        dests=_stream(partial(rng.integers, 0, total)),
+        draws=draws,
+        winners=chain.from_iterable(_winners(config, u).tolist() for u in draws),
+        dests=chain.from_iterable(map(np.ndarray.tolist, dest_blocks)),
         served=[0] * total,
         won=[0] * total,
     )
-
-
-def _stream(draw: Callable[[int], np.ndarray]) -> Iterator:
-    """Yield draws one at a time, fetched lazily in blocks to keep the loop cheap."""
-    while True:
-        yield from draw(_BLOCK).tolist()
 
 
 def _refill(state: SimState) -> None:
@@ -331,10 +331,10 @@ def run(
     initial fill.
 
     The result equals stepping a ``new_sim`` state with :func:`step`, draw
-    for draw.  Each block of winner draws is classified with numpy; a
-    half-duplex win touches no queue, so it is only counted, and Python
-    loops over AP and full-duplex wins alone, each in amortised O(1) at any
-    ``capacity``.
+    for draw, since both read its streams.  Each block of ``draws``, cut at
+    the end of the run, is classified with numpy; a half-duplex win touches
+    no queue, so it is only counted, and Python loops over AP and
+    full-duplex wins alone, each in amortised O(1) at any ``capacity``.
     """
     measured_slots = as_count("measured_slots", measured_slots, 1)
     if warmup_slots is None:
@@ -353,8 +353,7 @@ def run(
     misses = 0
     end = warmup_slots + measured_slots
     for start in range(0, end, _BLOCK):
-        # fetched where step() would fetch it: before this block's refills
-        who = _winners(state.config, state.rng.random(_BLOCK)[: end - start])
+        who = _winners(state.config, next(state.draws)[: end - start])
         lo = min(max(warmup_slots - start, 0), len(who))
         queued = (who < 0) | (who >= n)
         codes = who[queued].tolist()

@@ -68,10 +68,11 @@ def _std_error(rate: float, trials: int) -> float:
     A count whose trials each hold ``floor(rate)`` or one more varies only
     in how many trials hold the extra one, a Bernoulli rate of
     ``rate % 1``.  So the error is 0 at every whole rate: a station flow
-    or ``p`` of exactly 0 or 1, and a ``sum`` of exactly 1 or 2.
+    or ``p`` of exactly 0 or 1, and a ``sum`` of exactly 1 or 2.  Rooting
+    before dividing keeps it positive at every other rate, subnormal too.
     """
     q = rate % 1.0
-    return math.sqrt(q * (1.0 - q) / trials)
+    return math.sqrt(q * (1.0 - q)) / math.sqrt(trials)
 
 
 def estimate(count: int, total: int) -> FlowEstimate:

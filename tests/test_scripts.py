@@ -7,6 +7,8 @@ lengths the verdict on the head composition depends on the seed.
 import runpy
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -47,6 +49,20 @@ def test_validate_presets(capsys):
     failing = int(lines[-1].split()[0])
     assert lines[-1] == f"{failing} failing run(s)"
     assert code == (1 if failing else 0)
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("sweep_figure.py", ["--total-stations", "0"]),
+    ("validate_presets.py", ["--slots", "0"]),
+    ("validate_presets.py", ["--z-max", "nan"]),
+])
+def test_bad_arguments_exit_2(capsys, name, argv):
+    # one argparse error line and exit 2, as the CLI does, not a traceback;
+    # each is rejected before anything is written
+    with pytest.raises(SystemExit) as stop:
+        script_main(name)(argv)
+    assert stop.value.code == 2
+    assert ": error: " in capsys.readouterr().err.splitlines()[-1]
 
 
 def test_seeded_digest(capsys):

@@ -72,6 +72,8 @@ _ORACLE_CASES = [
         for seed, warmup in ((0, 4095), (3, 4096), (17, 4097))
     ),
     pytest.param(DCA22, 4_200, 4096, 1, 3, id="dca22-w4096-cap1-s3"),
+    # ends where the second 4096-draw block ends: that block is played in full
+    pytest.param(DCA22, 4_096, 4096, None, 0, id="dca22-w4096-s4096"),
     pytest.param(fairness_config(20, 20), 2_000, 100, 1, 0, id="fair2020-w100-cap1-s0"),
     pytest.param(NetworkConfig(1, 1, 0.0, 0.5, 0.5), 4_200, 4097, None, 3, id="pA0"),
     pytest.param(fairness_config(3, 0), 4_200, 4095, 2, 17, id="pA0-n0"),

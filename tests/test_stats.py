@@ -49,9 +49,11 @@ class TestStdError:
         (1.0, 0.0),  # every trial counts one: p in saturation, sum with no two-way slot
         (2.0, 0.0),  # every slot two-way
         (1.45, math.sqrt(0.45 * 0.55 / 1000)),  # sum: 45% of slots two-way
+        (5e-324, math.sqrt(5e-324) / math.sqrt(1000)),  # q * (1 - q) / 1000 underflows to 0
     ])
     def test_value(self, rate, want):
-        assert _std_error(rate, 1000) == pytest.approx(want)
+        # abs=0: pytest.approx would take 0 for a tiny positive error
+        assert _std_error(rate, 1000) == pytest.approx(want, abs=0)
 
 
 def _by_name(result):
@@ -173,6 +175,18 @@ class TestCompare:
         f = sum(stats.down_slots[MIXED.n:]) / t
         assert flows["sum"].estimate.mean == pytest.approx(1 + f)
         assert flows["sum"].estimate.std_error == pytest.approx(math.sqrt(f * (1 - f) / t))
+
+    def test_subnormal_theory_rate_passes_on_no_count(self):
+        # p_H = 5e-324: no half-duplex uplink in 1000 slots agrees with the
+        # theory's 5e-324, so the error at the theory value must not be 0
+        cfg = NetworkConfig(2, 1, 0.5, 0.25, 5e-324)
+        theory = throughputs(cfg)
+        stats = run(cfg, 1_000, seed=0)
+        hd_up = _by_name(compare(theory, stats, cfg))["hd_up"]
+        assert hd_up.theory == 5e-324
+        assert hd_up.estimate == FlowEstimate(mean=0.0, std_error=0.0)
+        assert hd_up.z is not None and math.isfinite(hd_up.z)
+        assert hd_up.verdict == PASS
 
     def test_closed_form_just_short_of_two_passes(self):
         # dca(2,0) closes at 1.9999999999999998 while every simulated slot
