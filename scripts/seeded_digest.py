@@ -16,6 +16,9 @@ Prints one sha256 line per section:
 Run it against two source trees and compare the lines::
 
     PYTHONPATH=src python3 scripts/seeded_digest.py
+
+``tests/test_scripts.py`` pins the three lines.  A change that moves seeded
+output on purpose updates that pin and says why in CHANGES.md.
 """
 
 import hashlib

@@ -14,7 +14,7 @@ does not apply.  All its other flows should pass.
 import argparse
 import sys
 
-from fdmix.analytic import NetworkConfig, dca_config, fairness_config
+from fdmix.analytic import NetworkConfig, as_count, dca_config, fairness_config
 from fdmix.cli import Scenario, cmd_validate
 from fdmix.stats import NOT_APPLICABLE, PASS
 
@@ -33,11 +33,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", type=int, default=3, help="seeds 0..N-1")
     parser.add_argument("--z-max", type=float, default=4.0)
     args = parser.parse_args(argv)
+    try:
+        seeds = as_count("seeds", args.seeds, 1)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     width = max(len(name) for name, _ in CASES)
     failures = 0
     for name, config in CASES:
-        for seed in range(args.seeds):
+        for seed in range(seeds):
             scenario = Scenario(config=config, slots=args.slots, seed=seed)
             try:
                 payload, code = cmd_validate(scenario, args.z_max)

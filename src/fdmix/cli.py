@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING
 
 from .analytic import (
     NetworkConfig,
+    ThroughputReport,
     as_count,
     dca_config,
     fairness_config,
@@ -38,17 +39,14 @@ DEFAULT_SLOTS = 1_000_000
 
 PRESETS = {"dca": dca_config, "fair": fairness_config}
 
-_CSV_COLUMNS = (
-    "preset,m,n,p_A,p_F,p_H,p,hd_down,hd_up,fd_down,fd_up,sum,"
-    "hd_down_total,hd_up_total,fd_down_total,fd_up_total"
-)
-
 _PROBS = ("p_A", "p_F", "p_H")
 _CONFIG_KEYS = ("m", "n", *_PROBS)
+_CSV_COLUMNS = ",".join((
+    "preset", *_CONFIG_KEYS, *ThroughputReport._fields,
+    "hd_down_total", "hd_up_total", "fd_down_total", "fd_up_total",
+))
 # sim field -> smallest accepted value
 _SIM_MINIMUM = {"slots": 1, "warmup": 0, "capacity": 1, "seed": 0}
-# config flag -> scenario field
-_FLAG_FIELDS = {"preset": "preset", "m": "m", "n": "n", "pA": "p_A", "pF": "p_F", "pH": "p_H"}
 
 
 @dataclass(frozen=True)
@@ -141,9 +139,9 @@ def _scenario_from_args(args: argparse.Namespace) -> Scenario:
     # Flags make the same mapping a scenario file holds; sim flags override
     # the file's sim block field by field.
     raw = {
-        field: getattr(args, flag)
-        for flag, field in _FLAG_FIELDS.items()
-        if getattr(args, flag) is not None
+        field: getattr(args, field)
+        for field in ("preset", *_CONFIG_KEYS)
+        if getattr(args, field) is not None
     }
     if args.scenario is not None:
         if raw:
@@ -212,7 +210,7 @@ def cmd_simulate(scenario: Scenario) -> dict:
 
 def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     """Simulate, judge against the closed form, and return (payload, exit code)."""
-    from .stats import _check_z_max, compare
+    from .stats import FAIL, PASS, _check_z_max, compare
 
     _check_z_max(z_max)  # before any slot is simulated
     stats, sim = _simulate(scenario)
@@ -235,7 +233,7 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
         "z_max": result.z_max,
         "theory": theory._asdict(),
         "flows": flows,
-        "overall": "pass" if result.overall else "fail",
+        "overall": PASS if result.overall else FAIL,
     }
     return payload, 0 if result.overall else 1
 
@@ -254,8 +252,7 @@ def cmd_sweep(total_stations: int) -> str:
             config = build(m, n)
             r = throughputs(config)
             values = (
-                config.p_A, config.p_F, config.p_H, r.p, r.hd_down, r.hd_up,
-                r.fd_down, r.fd_up, r.sum,
+                config.p_A, config.p_F, config.p_H, *r,
                 n * r.hd_down, n * r.hd_up, m * r.fd_down, m * r.fd_up,
             )
             lines.append(",".join([preset, str(m), str(n), *map(_sig, values)]))
@@ -285,9 +282,12 @@ def build_parser() -> argparse.ArgumentParser:
     config.add_argument("--preset", choices=sorted(PRESETS))
     config.add_argument("--m", type=int, help="full-duplex station count")
     config.add_argument("--n", type=int, help="half-duplex station count")
-    config.add_argument("--pA", type=float, help="AP transmit probability")
-    config.add_argument("--pF", type=float, help="per full-duplex station probability")
-    config.add_argument("--pH", type=float, help="per half-duplex station probability")
+    config.add_argument("--pA", type=float, dest="p_A", metavar="PA",
+                        help="AP transmit probability")
+    config.add_argument("--pF", type=float, dest="p_F", metavar="PF",
+                        help="per full-duplex station probability")
+    config.add_argument("--pH", type=float, dest="p_H", metavar="PH",
+                        help="per half-duplex station probability")
     config.add_argument("--scenario", metavar="FILE", help="JSON scenario file")
     config.add_argument("--out", metavar="FILE", help="write output here instead of stdout")
     sim = argparse.ArgumentParser(add_help=False)
@@ -319,12 +319,11 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         scenario = _scenario_from_args(args)
         if args.command == "theory":
-            _emit(_render_json(cmd_theory(scenario)), args.out)
-            return 0
-        if args.command == "simulate":
-            _emit(_render_json(cmd_simulate(scenario)), args.out)
-            return 0
-        payload, code = cmd_validate(scenario, args.z_max)
+            payload, code = cmd_theory(scenario), 0
+        elif args.command == "simulate":
+            payload, code = cmd_simulate(scenario), 0
+        else:
+            payload, code = cmd_validate(scenario, args.z_max)
         _emit(_render_json(payload), args.out)
         return code
     except (ValueError, OSError) as exc:

@@ -92,6 +92,13 @@ _ORACLE_CASES = [
     pytest.param(dca_config(300, 0), 8_400, 4097, 50, 3, id="dca3000-w4097-cap50-s3"),
     pytest.param(dca_config(200, 1), 8_400, 4097, 30, 1, id="dca2001-w4097-cap30-s1"),
     pytest.param(dca_config(100, 1), 8_400, 4097, 100, 3, id="dca1001-w4097-cap100-s3"),
+    # The benchmark's crowded runs: warmup edge and end inside one 4096-draw
+    # block, at windows of 50 to 2010 packets.
+    pytest.param(dca_config(100, 100), 1_500, 1500, None, 0, id="dca100100-w1500-s0"),
+    pytest.param(dca_config(100, 100), 1_500, 1500, 50, 3, id="dca100100-w1500-cap50-s3"),
+    pytest.param(dca_config(200, 1), 1_500, 1500, None, 0, id="dca2001-w1500-s0"),
+    pytest.param(dca_config(40, 1), 1_500, 1500, None, 3, id="dca401-w1500-s3"),
+    pytest.param(fairness_config(20, 20), 1_500, 1500, None, 0, id="fair2020-w1500-s0"),
 ]
 
 
