@@ -10,7 +10,7 @@ binomial error of the rate's fractional part, as if trials were
 independent.  That ignores slot-to-slot correlation introduced by the
 queue, and so understates the error of the head composition ``p``: away
 from saturation its variance is ``(1+ρ)/(1−ρ)`` times the binomial one,
-with ``ρ = n·p_F/p_A`` (ROADMAP.md, item 1, "Error bars that are right").
+with ``ρ = n·p_F/p_A`` (ROADMAP.md, "Error bars that are right").
 So a correct subcritical network such as (2,3,0.4,0.1,0.4/3) still fails
 ``z_max`` = 4 on some seeds.
 """

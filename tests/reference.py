@@ -2,8 +2,12 @@
 
 Independent of the windowed implementation in ``fdmix.simulator``: one FIFO
 of global sequence numbers per station, grown lazily, so no window, no
-capacity and no debt bookkeeping exist here.  Slow but conceptually direct;
-used to confirm that the windowed design reproduces the same flow rates.
+capacity and no debt bookkeeping exist here.  Slow but conceptually direct.
+It draws one value at a time from the generators of :func:`streams`: a
+uniform per slot, classified by :func:`classify`, and a destination each
+time the backlog must grow.  ``step()`` fed the same two streams consumes
+the same packets in the same slots at any ``capacity``, so the tests
+compare its counters with these exactly.
 
 Counters are returned in a ``SimStats`` container for easy comparison.
 ``fd_wins_no_packet`` stays 0: with the whole backlog materialised on
@@ -12,12 +16,19 @@ demand, a winning full-duplex station always finds its packet.
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 
 import numpy as np
 
 from fdmix.analytic import NetworkConfig, require_valid
 from fdmix.simulator import SimStats
+
+
+def streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Two generators from ``seed``: slot uniforms and backlog destinations."""
+    uniforms, destinations = np.random.SeedSequence(seed).spawn(2)
+    return np.random.default_rng(uniforms), np.random.default_rng(destinations)
 
 
 def classify(config: NetworkConfig, u: float) -> int:
@@ -46,28 +57,19 @@ def _clipped(x: float, p: float, count: int) -> int:
 def run_reference(
     config: NetworkConfig,
     measured_slots: int,
-    warmup_slots: int = 10_000,
-    seed: int = 0,
-    initial_backlog: int = 64,
+    warmup_slots: int,
+    seed: int,
 ) -> SimStats:
     require_valid(config)
     n, m = config.n, config.m
     total = n + m
-    rng = np.random.default_rng(seed)
+    uniforms, destinations = streams(seed)
 
     fifos: list[deque[int]] = [deque() for _ in range(total)]
-    next_seq = 0
-    backlog = 0
+    seq = itertools.count()  # global arrival order
 
     def grow_one() -> None:
-        nonlocal next_seq, backlog
-        dest = int(rng.integers(0, total))
-        fifos[dest].append(next_seq)
-        next_seq += 1
-        backlog += 1
-
-    for _ in range(initial_backlog):
-        grow_one()
+        fifos[int(destinations.integers(0, total))].append(next(seq))
 
     down = [0] * total
     up = [0] * total
@@ -75,17 +77,16 @@ def run_reference(
 
     for slot in range(warmup_slots + measured_slots):
         measuring = slot >= warmup_slots
-        code = classify(config, float(rng.random()))
+        code = classify(config, float(uniforms.random()))
         if code < 0:
             # AP serves the globally oldest packet.
-            if backlog == 0:
+            if not any(fifos):
                 grow_one()
             head = min(
                 (s for s in range(total) if fifos[s]),
                 key=lambda s: fifos[s][0],
             )
             fifos[head].popleft()
-            backlog -= 1
             if measuring:
                 ap_wins += 1
                 down[head] += 1
@@ -98,7 +99,6 @@ def run_reference(
             while not fifos[code]:
                 grow_one()
             fifos[code].popleft()
-            backlog -= 1
             if measuring:
                 down[code] += 1
                 up[code] += 1

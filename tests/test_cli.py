@@ -335,6 +335,23 @@ class TestSimulate:
                      "--slots", "20000", "--seed", "2")
         assert a["counters"] != b["counters"]
 
+    @pytest.mark.parametrize("source", ["flags", "scenario"])
+    @pytest.mark.parametrize("field,minimum", [("slots", 1), ("warmup", 0), ("capacity", 1), ("seed", 0)])
+    def test_sim_minimum_runs_and_one_less_is_refused(self, capsys, tmp_path, source, field, minimum):
+        def simulate(value):
+            sim = {"slots": 100, field: value}
+            if source == "flags":
+                flags = [arg for key, v in sim.items() for arg in (f"--{key}", str(v))]
+                return run_cli(capsys, "simulate", "--preset", "dca", "--m", "1", "--n", "1", *flags)
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps({"preset": "dca", "m": 1, "n": 1, "sim": sim}))
+            return run_cli(capsys, "simulate", "--scenario", str(path))
+
+        code, out, err = simulate(minimum)
+        assert code == 0, err
+        assert json.loads(out)["sim"][field] == minimum
+        assert_one_error_line(*simulate(minimum - 1))
+
 
 class TestValidate:
     def test_agreement_exits_zero(self, capsys):

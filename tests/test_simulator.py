@@ -1,7 +1,9 @@
 """Slot simulator: determinism, step invariants, conservation, convergence."""
 
-import math
 import tracemalloc
+from collections import deque
+from dataclasses import replace
+from itertools import chain, islice, repeat
 
 import numpy as np
 import pytest
@@ -19,7 +21,10 @@ from fdmix.simulator import (
     AP,
     FD,
     HD,
+    _BLOCK,
+    ApQueue,
     Packet,
+    SimState,
     SimStats,
     SlotOutcome,
     _winners,
@@ -31,18 +36,30 @@ from fdmix.simulator import (
     run,
     step,
 )
-from fdmix.stats import NOT_APPLICABLE, compare, estimate
+from fdmix.stats import NOT_APPLICABLE, compare
 
-from reference import classify, run_reference
+from reference import classify, run_reference, streams
 from strategies import edge_configs, valid_configs
 
 DCA22 = dca_config(2, 2)
 MIXED = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
 
 
-def _stepped(config, slots, warmup, capacity, seed):
-    """SimStats of a fresh ``new_sim`` state advanced with ``step()``."""
-    state = new_sim(config, capacity=capacity, seed=seed)
+def _on_streams(config, slots, warmup, capacity, seed):
+    """``step()``'s counters, misses aside, on the reference's two streams: the window
+    is the first ``capacity`` destinations, the winners ``_winners`` of the uniforms."""
+    uniforms, destinations = streams(seed)
+    total = config.m + config.n
+    dests = chain.from_iterable(destinations.integers(0, total, _BLOCK).tolist() for _ in repeat(None))
+    window = ApQueue(deque(islice(dests, capacity)), capacity)
+    draws = map(uniforms.random, repeat(_BLOCK))
+    winners = chain.from_iterable(_winners(config, u).tolist() for u in draws)
+    state = SimState(config, window, [0] * config.m, draws, winners, dests, [0] * total, [0] * total)
+    return replace(_walk(state, slots, warmup), fd_wins_no_packet=0)
+
+
+def _walk(state, slots, warmup):
+    """SimStats of ``state`` stepped ``warmup`` slots unmeasured, then ``slots``."""
     state.measuring = False
     for _ in range(warmup):
         step(state)
@@ -129,6 +146,10 @@ class TestConstruction:
         a = new_sim(DCA22, seed=7)
         b = new_sim(DCA22, seed=7)
         assert list(a.queue.entries) == list(b.queue.entries)
+
+    def test_default_seed_is_zero(self):
+        assert list(new_sim(DCA22).queue.entries) == list(new_sim(DCA22, seed=0).queue.entries)
+        assert run(DCA22, 2_000) == run(DCA22, 2_000, seed=0)
 
     def test_default_warmup_floor_and_fraction(self):
         assert default_warmup(1_000_000) == 10_000
@@ -367,7 +388,7 @@ class TestRun:
     def test_matches_manual_stepping(self, config, slots, warmup, capacity, seed):
         # step() is the oracle: run() must give its counters draw for draw
         stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
-        assert stats == _stepped(config, slots, warmup, capacity, seed)
+        assert stats == _walk(new_sim(config, capacity=capacity, seed=seed), slots, warmup)
 
     def test_warmup_slots_not_counted(self):
         stats = run(DCA22, 1_000, warmup_slots=777, seed=0)
@@ -401,7 +422,7 @@ class TestRun:
         # values are exact in binary, so the closure holds in floats as well
         cfg = NetworkConfig(1, 1, np.float32(0.625), np.float32(0.25), np.float32(0.125))
         assert type(new_sim(cfg).config.p_A) is float
-        assert run(cfg, 2_000, warmup_slots=0, seed=3) == _stepped(cfg, 2_000, 0, None, 3)
+        assert run(cfg, 2_000, warmup_slots=0, seed=3) == _walk(new_sim(cfg, seed=3), 2_000, 0)
 
     @pytest.mark.parametrize("config,slots,capacity", [
         (MIXED, 150_000, None),
@@ -473,7 +494,7 @@ class TestRunProperties:
     @given(config=valid_configs(), **_spans)
     def test_matches_step_on_random_networks(self, config, slots, warmup, capacity, seed):
         stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
-        assert stats == _stepped(config, slots, warmup, capacity, seed)
+        assert stats == _walk(new_sim(config, capacity=capacity, seed=seed), slots, warmup)
 
 
 class TestExactRegimes:
@@ -534,39 +555,22 @@ class TestEmpiricalReport:
             assert result.overall, [(f.name, f.z) for f in result.flows]
 
 
-def _assert_rates_agree(name, windowed, reference):
-    """Two (count, trials) rates within 5 combined standard errors."""
-    est_w, est_r = estimate(*windowed), estimate(*reference)
-    se = math.hypot(est_w.std_error, est_r.std_error)
-    assert abs(est_w.mean - est_r.mean) <= max(5 * se, 1e-9), (
-        name, est_w.mean, est_r.mean, se,
-    )
-
-
 class TestAgainstUnboundedReference:
-    """The windowed queue must reproduce an unbounded backlog's rates.
+    """Fed the same uniforms and backlog destinations, ``step()`` at any
+    ``capacity`` and the unbounded reference consume the same packets in the
+    same slots, on the saturation boundary of fair(2,2) too."""
 
-    Every flow of ``flow_counts`` is held to the reference, the aggregate
-    ``sum`` included, at the standard error ``stats.estimate`` gives it.
-    """
-
-    @pytest.mark.parametrize("config", [DCA22, MIXED], ids=["dca22", "mixed11"])
+    @pytest.mark.parametrize("config", [
+        DCA22, MIXED, fairness_config(2, 2), fairness_config(3, 0), dca_config(0, 3),
+    ], ids=["dca22", "mixed11", "fair22", "fair30", "dca03"])
     def test_flows_match_reference(self, config):
-        windowed = flow_counts(run(config, 150_000, seed=1), config)
-        reference = flow_counts(
-            run_reference(config, 150_000, seed=11), config
-        )
-        for name in windowed:
-            _assert_rates_agree(name, windowed[name], reference[name])
+        reference = run_reference(config, 20_000, 2_000, seed=11)
+        for capacity in (1, default_capacity(config), 500):
+            assert _on_streams(config, 20_000, 2_000, capacity, seed=11) == reference, capacity
 
-    def test_critical_boundary_flows_match_reference(self):
-        # fairness sits exactly on the saturation boundary; the head
-        # composition there fluctuates on long scales, so only the four
-        # station flows are held to the 5 sigma bound
-        config = fairness_config(2, 2)
-        windowed = flow_counts(run(config, 150_000, seed=1), config)
-        reference = flow_counts(
-            run_reference(config, 150_000, seed=11), config
-        )
-        for name in ("hd_down", "hd_up", "fd_down", "fd_up"):
-            _assert_rates_agree(name, windowed[name], reference[name])
+    @settings(max_examples=60, deadline=None)
+    @given(config=valid_configs(), slots=_spans["slots"], warmup=_spans["warmup"],
+           seed=_spans["seed"], capacity=st.integers(1, 60), other=st.integers(1, 60))
+    def test_capacity_changes_only_misses(self, config, slots, warmup, seed, capacity, other):
+        assert (_on_streams(config, slots, warmup, capacity, seed)
+                == _on_streams(config, slots, warmup, other, seed))
