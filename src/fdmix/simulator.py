@@ -8,12 +8,12 @@ station ``k`` code ``n + k``; ``step()`` turns codes into :class:`Packet`
 addresses.  When a winning full-duplex station finds no packet for itself
 inside the window, the packet it serves is the first one addressed to it
 beyond the window.  That slot still carries a downlink, the event is
-counted in ``fd_wins_no_packet``, and a per-station debt is recorded so that
-later window refills skip destinations already consumed ahead of time.
-Because backlog destinations are independent, consuming the first
-out-of-window packet for station i and skipping i in ``debt[i]`` later draws
-leaves the window distribution identical to the one an unbounded queue would
-produce.
+counted in ``fd_wins_no_packet``, and a debt is recorded against the code
+so that later window refills skip destinations already consumed ahead of
+time.  Because backlog destinations are independent, consuming the first
+out-of-window packet for a code and skipping that code in its next
+``owed[code]`` draws leaves the window distribution identical to the one an
+unbounded queue would produce.
 
 One categorical draw decides each slot: the AP transmits with probability
 ``p_A`` (serving the window head, FIFO), otherwise a station transmits.  A
@@ -22,10 +22,11 @@ it in the same slot, so its downlink and uplink counts advance together.  A
 winning half-duplex station only uplinks.
 
 Only the streams :func:`new_sim` builds draw from the generator.
-:func:`_winners` is the one rule that turns draws into winners, and
-:func:`_as_stats` the one that turns tallies of measured slots into counters.
-:func:`step` plays one slot and is the readable definition; :func:`run` plays
-a whole span from the same streams and keeps the same tallies.
+:func:`_winners` is the one rule that turns draws into winners,
+:func:`_serve` the one that plays an AP or full-duplex win against the
+window, and :func:`_as_stats` the one that turns tallies of measured slots
+into counters.  :func:`step` plays one slot and is the readable definition;
+:func:`run` plays a whole span from the same streams and state.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -117,14 +118,21 @@ class SimState:
 
     config: NetworkConfig
     queue: ApQueue
-    debt: list[int]  # per FD station, packets consumed beyond the window
     draws: Iterator[np.ndarray]  # blocks of _BLOCK uniforms, one per slot; winners classifies them
     winners: Iterator[int]  # one per slot: -1 for the AP, else the winner's code
     dests: Iterator[int]  # backlog destinations for window refills
+    in_window: list[int]  # packets in queue.entries not counted in gone, by code
+    gone: list[int]  # packets left in queue.entries after a full-duplex hit took them, by code
+    owed: list[int]  # packets consumed beyond the window, by code; refills skip them
     served: list[int]  # measured AP wins, by head code
     won: list[int]  # measured station wins, by winner code
     misses: int = 0  # measured full-duplex wins served from beyond the window
     measuring: bool = True
+
+    @property
+    def debt(self) -> list[int]:
+        """``owed`` per full-duplex station, a copy taken when read."""
+        return self.owed[self.config.n:]
 
     @property
     def stats(self) -> SimStats:
@@ -174,31 +182,21 @@ def new_sim(
     capacity = as_count("capacity", capacity, 1)
     seed = as_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
-    entries: deque[int] = deque(rng.integers(0, total, capacity).tolist())
+    window = rng.integers(0, total, capacity)
     draws = map(rng.random, repeat(_BLOCK))
     dest_blocks = map(partial(rng.integers, 0, total), repeat(_BLOCK))
     return SimState(
         config=config,
-        queue=ApQueue(entries=entries, capacity=capacity),
-        debt=[0] * config.m,
+        queue=ApQueue(entries=deque(window.tolist()), capacity=capacity),
         draws=draws,
         winners=chain.from_iterable(_winners(config, u).tolist() for u in draws),
         dests=chain.from_iterable(map(np.ndarray.tolist, dest_blocks)),
+        in_window=np.bincount(window, minlength=total).tolist(),
+        gone=[0] * total,
+        owed=[0] * total,
         served=[0] * total,
         won=[0] * total,
     )
-
-
-def _refill(state: SimState) -> None:
-    # Draw backlog destinations until one survives the debt filter; draws
-    # matching a station with positive debt materialise packets that were
-    # already consumed out of turn.
-    n, debt, dests = state.config.n, state.debt, state.dests
-    d = next(dests)
-    while d >= n and debt[d - n]:
-        debt[d - n] -= 1
-        d = next(dests)
-    state.queue.entries.append(d)
 
 
 @lru_cache(maxsize=16)
@@ -221,24 +219,17 @@ def step(state: SimState) -> SlotOutcome:
     measuring = state.measuring
     ap_won, station_won = _outcomes(n, state.config.m)
     code = next(state.winners)
-    if code < 0:
-        # AP wins: serve the window head in FIFO order.
-        head = state.queue.entries.popleft()
-        _refill(state)
-        if measuring:
-            state.served[head] += 1
-        return ap_won[head]
-    if code >= n:
-        # A full-duplex station wins and pulls its own packet out of turn.
+    if code < 0 or code >= n:
+        # The AP serves the window head; a full-duplex winner takes its own packet.
         entries = state.queue.entries
-        if code in entries:
+        head = entries[0]
+        _serve((code,), state, measuring)
+        if code < 0:
+            return ap_won[head]
+        if state.gone[code]:
+            # Take the hit packet out, so the window stays exactly ``capacity`` long.
+            state.gone[code] = 0
             entries.remove(code)
-            _refill(state)
-        else:
-            # Served from beyond the window; settle the debt on refill.
-            state.debt[code - n] += 1
-            if measuring:
-                state.misses += 1
     # A half-duplex win touches no queue.
     if measuring:
         state.won[code] += 1
@@ -271,17 +262,22 @@ def _index(x: np.ndarray, p: float, count: int) -> np.ndarray | int:
     return 0
 
 
-def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: list[int],
-           debt: list[int], dests: Iterator[int], served: list[int]) -> int:
+def _serve(codes: Iterable[int], state: SimState, measuring: bool) -> None:
     """Play AP wins (-1) and full-duplex wins (their codes) against the window.
 
-    Counts each popped head in ``served`` by its code and returns the number
-    of full-duplex misses: two of the tallies ``step()`` keeps.  Mirrors
-    ``step()`` and ``_refill``, with ``in_window`` counting each code in the
-    window and ``debt`` indexed by code.  A full-duplex hit leaves its packet
-    in ``entries`` and counts it in ``gone``: the oldest packets of a code
-    are the ones taken, so the head skips the first ``gone[code]`` it meets.
+    The one queue rule.  An AP win pops the oldest packet.  A full-duplex
+    win takes the oldest packet of its own code, found by ``in_window``
+    without a scan; with none in the window it takes the first one beyond,
+    a miss, and ``owed`` makes a later refill skip that destination.  Every
+    packet taken from the window is refilled from ``dests``.  A hit leaves
+    its packet in the window and counts it in ``gone``: the oldest packets
+    of a code are the ones taken, so the head skips the first ``gone[code]``
+    it meets.  When ``measuring``, each popped head is counted in
+    ``served`` and each miss in ``misses``.
     """
+    entries, in_window, gone, owed, dests = (
+        state.queue.entries, state.in_window, state.gone, state.owed, state.dests)
+    served = state.served
     misses = 0
     for code in codes:
         if code < 0:
@@ -289,21 +285,22 @@ def _serve(codes: list[int], entries: deque[int], in_window: list[int], gone: li
             while gone[code]:
                 gone[code] -= 1
                 code = entries.popleft()
-            served[code] += 1
+            served[code] += measuring
         elif in_window[code]:
             gone[code] += 1
         else:
-            debt[code] += 1
+            owed[code] += 1
             misses += 1
             continue
         in_window[code] -= 1
         d = next(dests)
-        while debt[d]:
-            debt[d] -= 1
+        while owed[d]:
+            owed[d] -= 1
             d = next(dests)
         entries.append(d)
         in_window[d] += 1
-    return misses
+    if measuring:
+        state.misses += misses
 
 
 def _compact(entries: deque[int], gone: list[int]) -> deque[int]:
@@ -333,7 +330,7 @@ def run(
     The result equals stepping a ``new_sim`` state with :func:`step`, draw
     for draw, since both read its streams.  Each block of ``draws``, cut at
     the end of the run, is classified with numpy; a half-duplex win touches
-    no queue, so it is only counted, and Python loops over AP and
+    no queue, so it is only counted, and :func:`_serve` plays the AP and
     full-duplex wins alone, each in amortised O(1) at any ``capacity``.
     """
     measured_slots = as_count("measured_slots", measured_slots, 1)
@@ -343,14 +340,8 @@ def run(
     state = new_sim(config, capacity=capacity, seed=seed)
     n = state.config.n
     total = n + state.config.m
-    entries = state.queue.entries
-    in_window = np.bincount(list(entries), minlength=total).tolist()
-    gone = [0] * total  # hit packets still in entries, per code
-    debt = [0] * total
-    served = [0] * total  # measured AP wins by head code
-    unmeasured = [0] * total  # warmup AP wins, not reported
+    queue = state.queue
     won = np.zeros(total + 1, dtype=np.int64)  # measured wins by code + 1, the AP's at 0
-    misses = 0
     end = warmup_slots + measured_slots
     for start in range(0, end, _BLOCK):
         who = _winners(state.config, next(state.draws)[: end - start])
@@ -358,12 +349,12 @@ def run(
         queued = (who < 0) | (who >= n)
         codes = who[queued].tolist()
         warm = int(np.count_nonzero(queued[:lo]))
-        _serve(codes[:warm], entries, in_window, gone, debt, state.dests, unmeasured)
-        misses += _serve(codes[warm:], entries, in_window, gone, debt, state.dests, served)
-        if len(entries) > 4 * state.queue.capacity:  # amortised O(1) per hit
-            entries = _compact(entries, gone)
+        _serve(codes[:warm], state, False)
+        _serve(codes[warm:], state, True)
+        if len(queue.entries) > 4 * queue.capacity:  # amortised O(1) per hit
+            queue.entries = _compact(queue.entries, state.gone)
         won += np.bincount(who[lo:] + 1, minlength=total + 1)
-    return _as_stats(served, won[1:].tolist(), misses, n)
+    return _as_stats(state.served, won[1:].tolist(), state.misses, n)
 
 
 def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int] | None]:

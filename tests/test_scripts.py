@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts: the two studies at tiny sizes, and the digest.
+"""Smoke runs of the scripts: the two studies at tiny sizes, the digest, and
+the mutation audit's mutants (the audit itself runs the suite, so not here).
 
 The studies are checked for exit code and the shape of their output only:
 at these run lengths the verdict on the head composition depends on the
@@ -58,6 +59,7 @@ def test_validate_presets(capsys):
     ("validate_presets.py", ["--z-max", "nan"]),
     ("validate_presets.py", ["--seeds", "0"]),
     ("validate_presets.py", ["--seeds", "-1"]),
+    ("mutants.py", ["--module", "nosuch"]),
 ])
 def test_bad_arguments_exit_2(capsys, name, argv):
     # one argparse error line and exit 2, as the CLI does, not a traceback;
@@ -79,3 +81,17 @@ SEEDED_DIGEST = [
 def test_seeded_digest(capsys):
     assert script_main("seeded_digest.py")() == 0
     assert capsys.readouterr().out.splitlines() == SEEDED_DIGEST
+
+
+def test_mutants_change_one_site_each():
+    mutants = runpy.run_path(str(SCRIPTS / "mutants.py"))["mutants"]
+    source = "def f(a, b):\n    a -= 2.5\n    return not (a < b and a * b)\n"
+    found = [(site.line, site.change, text.splitlines()[1:]) for site, text in mutants(source)]
+    assert found == [
+        (2, "-= -> +=", ["    a += 2.5", "    return not (a < b and a * b)"]),
+        (2, "2.5 -> 3.5", ["    a -= 3.5", "    return not (a < b and a * b)"]),
+        (3, "not dropped", ["    a -= 2.5", "    return a < b and a * b"]),
+        (3, "and -> or", ["    a -= 2.5", "    return not (a < b or a * b)"]),
+        (3, "< -> <=", ["    a -= 2.5", "    return not (a <= b and a * b)"]),
+        (3, "* -> /", ["    a -= 2.5", "    return not (a < b and a / b)"]),
+    ]

@@ -51,10 +51,20 @@ def _on_streams(config, slots, warmup, capacity, seed):
     uniforms, destinations = streams(seed)
     total = config.m + config.n
     dests = chain.from_iterable(destinations.integers(0, total, _BLOCK).tolist() for _ in repeat(None))
-    window = ApQueue(deque(islice(dests, capacity)), capacity)
+    window = list(islice(dests, capacity))
     draws = map(uniforms.random, repeat(_BLOCK))
-    winners = chain.from_iterable(_winners(config, u).tolist() for u in draws)
-    state = SimState(config, window, [0] * config.m, draws, winners, dests, [0] * total, [0] * total)
+    state = SimState(
+        config=config,
+        queue=ApQueue(deque(window), capacity),
+        draws=draws,
+        winners=chain.from_iterable(_winners(config, u).tolist() for u in draws),
+        dests=dests,
+        in_window=np.bincount(window, minlength=total).tolist(),
+        gone=[0] * total,
+        owed=[0] * total,
+        served=[0] * total,
+        won=[0] * total,
+    )
     return replace(_walk(state, slots, warmup), fd_wins_no_packet=0)
 
 
@@ -202,12 +212,17 @@ def _walk_checking_invariants(config, slots, seed, warmup=0, capacity=None):
     down = [0] * (n + m)
     up = [0] * (n + m)
     ap_wins = ap_hd = fd_misses = 0
+    window = list(state.queue.entries)
     for slot in range(warmup + slots):
         state.measuring = measured = slot >= warmup
-        before = list(state.queue.entries)
+        before = window
         outcome = step(state)
-        # window size is restored by the end of every slot
-        assert len(state.queue.entries) == capacity
+        window = list(state.queue.entries)
+        # window size is restored by the end of every slot, and the window
+        # holds no taken packet: its count by code is its exact content
+        assert len(window) == capacity
+        assert state.in_window == np.bincount(window, minlength=n + m).tolist()
+        assert not any(state.gone)
         if outcome.winner == AP:
             assert outcome.downlink_to is not None
             assert outcome.head_class_at_win in (HD, FD)
@@ -364,7 +379,10 @@ class TestStepInvariants:
         for head, code, fresh in cases:
             state = new_sim(config)
             if head is not None:
-                state.queue.entries.appendleft(head)
+                # make ``head`` the oldest packet, and count it in the window
+                state.in_window[state.queue.entries[0]] -= 1
+                state.queue.entries[0] = head
+                state.in_window[head] += 1
             state.winners = iter([code])
             assert step(state) == fresh
 
