@@ -16,7 +16,7 @@ import functools
 import json
 import operator
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,8 +39,8 @@ DEFAULT_SLOTS = 1_000_000
 
 PRESETS = {"dca": dca_config, "fair": fairness_config}
 
-_PROBS = ("p_A", "p_F", "p_H")
-_CONFIG_KEYS = ("m", "n", *_PROBS)
+_CONFIG_KEYS = tuple(field.name for field in fields(NetworkConfig))
+_COUNTS, _PROBS = _CONFIG_KEYS[:2], _CONFIG_KEYS[2:]  # a preset's arguments, and what it fixes
 _CSV_COLUMNS = ",".join((
     "preset", *_CONFIG_KEYS, *ThroughputReport._fields,
     "hd_down_total", "hd_up_total", "fd_down_total", "fd_up_total",
@@ -116,10 +116,10 @@ def parse_scenario(raw) -> Scenario:
             raise ValueError(
                 f"a preset fixes the probabilities; {given} may not also be given"
             )
-        missing = [key for key in ("m", "n") if key not in raw]
+        missing = [key for key in _COUNTS if key not in raw]
         if missing:
             raise ValueError(f"preset scenarios need {missing}")
-        config = PRESETS[preset](raw["m"], raw["n"])
+        config = PRESETS[preset](*(raw[key] for key in _COUNTS))
     return Scenario(config=config, preset=preset, **sim)
 
 

@@ -21,12 +21,12 @@ winning full-duplex station receives its own packet out of turn and answers
 it in the same slot, so its downlink and uplink counts advance together.  A
 winning half-duplex station only uplinks.
 
-Only the streams :func:`new_sim` builds draw from the generator.
-:func:`_winners` is the one rule that turns draws into winners,
-:func:`_serve` the one that plays an AP or full-duplex win against the
-window, and :func:`_as_stats` the one that turns tallies of measured slots
-into counters.  :func:`step` plays one slot and is the readable definition;
-:func:`run` plays a whole span from the same streams and state.
+Only the streams :func:`new_sim` builds draw, from the generators of
+:func:`_generators`.  :func:`_winners` is the one rule that turns draws
+into winners, :func:`_serve` the one that plays an AP or full-duplex win
+against the window, and ``SimState.stats`` the one that turns tallies of
+measured slots into counters.  :func:`step` plays one slot and is the
+readable definition; :func:`run` plays a whole span of a ``new_sim`` state.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class ApQueue:
 
 @dataclass
 class SimStats:
-    """Counters over measured slots, built from tallies by :func:`_as_stats`.
+    """Counters over measured slots, read from a state's tallies by ``SimState.stats``.
 
     Per-station lists are indexed by encoded destination: half-duplex
     stations occupy 0..n-1, full-duplex stations n..n+m-1.
@@ -136,22 +136,18 @@ class SimState:
 
     @property
     def stats(self) -> SimStats:
-        """Counters of the slots measured so far, a snapshot taken when read."""
-        return _as_stats(self.served, self.won, self.misses, self.config.n)
-
-
-def _as_stats(served: list[int], won: list[int], misses: int, n: int) -> SimStats:
-    """Counters from the tallies ``step()`` and ``run()`` keep: each slot adds
-    one tally, and a full-duplex head or winner answers in the same slot."""
-    fd = [s + w for s, w in zip(served[n:], won[n:])]
-    return SimStats(
-        total_slots=sum(served) + sum(won),
-        down_slots=served[:n] + fd,
-        up_slots=won[:n] + fd,
-        ap_wins=sum(served),
-        ap_wins_hd_head=sum(served[:n]),
-        fd_wins_no_packet=misses,
-    )
+        """Counters of the slots measured so far, a snapshot taken when read: each slot
+        adds one tally, and a full-duplex head or winner answers in the same slot."""
+        n, served, won = self.config.n, self.served, self.won
+        fd = [s + w for s, w in zip(served[n:], won[n:])]
+        return SimStats(
+            total_slots=sum(served) + sum(won),
+            down_slots=served[:n] + fd,
+            up_slots=won[:n] + fd,
+            ap_wins=sum(served),
+            ap_wins_hd_head=sum(served[:n]),
+            fd_wins_no_packet=self.misses,
+        )
 
 
 def default_capacity(config: NetworkConfig) -> int:
@@ -162,6 +158,11 @@ def default_capacity(config: NetworkConfig) -> int:
 def default_warmup(measured_slots: int) -> int:
     """Warmup used when none is given: 1% of the run, floored at 10^4."""
     return max(10_000, measured_slots // 100)
+
+
+def _generators(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """Generators of the slot uniforms and of the backlog destinations: one generator, twice."""
+    return (np.random.default_rng(seed),) * 2
 
 
 def new_sim(
@@ -181,10 +182,10 @@ def new_sim(
         capacity = default_capacity(config)
     capacity = as_count("capacity", capacity, 1)
     seed = as_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    window = rng.integers(0, total, capacity)
-    draws = map(rng.random, repeat(_BLOCK))
-    dest_blocks = map(partial(rng.integers, 0, total), repeat(_BLOCK))
+    uniforms, destinations = _generators(seed)
+    window = destinations.integers(0, total, capacity)
+    draws = map(uniforms.random, repeat(_BLOCK))
+    dest_blocks = map(partial(destinations.integers, 0, total), repeat(_BLOCK))
     return SimState(
         config=config,
         queue=ApQueue(entries=deque(window.tolist()), capacity=capacity),
@@ -327,10 +328,10 @@ def run(
     long enough for the window head composition to forget the uniform
     initial fill.
 
-    The result equals stepping a ``new_sim`` state with :func:`step`, draw
-    for draw, since both read its streams.  Each block of ``draws``, cut at
-    the end of the run, is classified with numpy; a half-duplex win touches
-    no queue, so it is only counted, and :func:`_serve` plays the AP and
+    The result is the ``stats`` of a ``new_sim`` state played to the end: the
+    same as stepping it with :func:`step`, since both read its streams.  Each
+    block of ``draws``, cut at the end of the run, is classified with numpy;
+    a half-duplex win is only counted, and :func:`_serve` plays the AP and
     full-duplex wins alone, each in amortised O(1) at any ``capacity``.
     """
     measured_slots = as_count("measured_slots", measured_slots, 1)
@@ -354,7 +355,8 @@ def run(
         if len(queue.entries) > 4 * queue.capacity:  # amortised O(1) per hit
             queue.entries = _compact(queue.entries, state.gone)
         won += np.bincount(who[lo:] + 1, minlength=total + 1)
-    return _as_stats(state.served, won[1:].tolist(), state.misses, n)
+    state.won = won[1:].tolist()
+    return state.stats
 
 
 def flow_counts(stats: SimStats, config: NetworkConfig) -> dict[str, tuple[int, int] | None]:

@@ -5,9 +5,9 @@ of global sequence numbers per station, grown lazily, so no window, no
 capacity and no debt bookkeeping exist here.  Slow but conceptually direct.
 It draws one value at a time from the generators of :func:`streams`: a
 uniform per slot, classified by :func:`classify`, and a destination each
-time the backlog must grow.  ``step()`` fed the same two streams consumes
-the same packets in the same slots at any ``capacity``, so the tests
-compare its counters with these exactly.
+time the backlog must grow.  ``run()`` and ``step()``, with these streams
+as ``fdmix.simulator._generators``, consume the same packets in the same
+slots at any ``capacity``, so the tests compare their counters exactly.
 
 Counters are returned in a ``SimStats`` container for easy comparison.
 ``fd_wins_no_packet`` stays 0: with the whole backlog materialised on

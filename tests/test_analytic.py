@@ -133,6 +133,9 @@ class TestHeadFraction:
         cfg = NetworkConfig(2, 3, 0.4, 0.1, 0.4 / 3)
         assert head_fraction(cfg) == pytest.approx(0.9, abs=TOL)
 
+    def test_snaps_at_exactly_the_tolerance(self):  # share * pressure == 1 - 1e-12 exactly
+        assert head_fraction(NetworkConfig(1, 1, 0.25, 0.2499999999995, 0.5000000000005)) == 1.0
+
 
 class TestValidate:
     def test_valid_config_has_no_violations(self):
@@ -234,6 +237,7 @@ class TestValidate:
         ((2**53 + 1, 1, 0.5, 0.0, 0.5), [f"m must be <= {2**53}, got {2**53 + 1}"]),
         ((1, 10**5000, 0.5, 0.5, 0.0),
          [f"n must be <= {2**53}, got an integer of 5001 digits"]),
+        ((1, 1, 10**5000 - 1, 0.3, 0.1), ["p_A must lie in [0, 1], got an integer of 5000 digits"]),
         ((1, 1, 0.5, 0.25, 0.25 + 2e-9),
          ["p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.000000002"]),
         ((0, 2, 0.5, 0.1, 0.25), ["p_F must be 0 when m == 0, got 0.1"]),
@@ -414,6 +418,7 @@ class TestProperties:
 
     @settings(max_examples=200)
     @given(st.one_of(valid_configs(), any_configs))
+    @example(NetworkConfig(MAX_STATIONS, 0, 1.0, 0.0, 0.0))  # np.int64 at the largest count
     def test_numpy_scalars_get_the_plain_verdict(self, cfg):
         # the same values as np.int64 and np.float64 take the reporting path
         as_numpy = NetworkConfig(
@@ -452,6 +457,10 @@ class TestProperties:
     @example(NetworkConfig(MAX_STATIONS, 0, 1.0, 0.0, 0.0))
     @example(NetworkConfig(MAX_STATIONS + 1, 0, 1.0, 0.0, 0.0))
     @example(NetworkConfig(1, 1, math.nan, 0.5, 0.5))
+    # p_F at 1, and p_F or p_H one ulp above 1 with the closure in tolerance
+    @example(NetworkConfig(1, 0, 0.0, 1.0, 0.0))
+    @example(NetworkConfig(1, 0, 0.0, math.nextafter(1.0, 2.0), 0.0))
+    @example(NetworkConfig(0, 1, 0.0, 0.0, math.nextafter(1.0, 2.0)))
     # an absent class with a non-zero probability
     @example(NetworkConfig(0, 1, 0.5, 1e-300, 0.5))
     @example(NetworkConfig(1, 0, 0.5, 0.5, 5e-324))

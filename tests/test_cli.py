@@ -421,6 +421,7 @@ class TestSweep:
         assert lines[1].startswith("dca,0,40,")
         assert lines[42].startswith("fair,0,40,")
         assert out.endswith("\n")
+        assert run_cli(capsys, "sweep") == (code, out, "")  # 40 stations by default
 
     def test_bit_stable(self, capsys):
         _, first, _ = run_cli(capsys, "sweep", "--total-stations", "17")
@@ -449,6 +450,8 @@ class TestSweep:
         code, _, err = run_cli(capsys, "sweep", "--total-stations", "0")
         assert code == 2
         assert "total_stations" in err
+        code, out, _ = run_cli(capsys, "sweep", "--total-stations", "1")  # the smallest network
+        assert code == 0 and len(out.splitlines()) == 1 + 2 * 2
 
 
 class TestScenarioFiles:

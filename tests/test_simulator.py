@@ -1,9 +1,7 @@
 """Slot simulator: determinism, step invariants, conservation, convergence."""
 
 import tracemalloc
-from collections import deque
 from dataclasses import replace
-from itertools import chain, islice, repeat
 
 import numpy as np
 import pytest
@@ -17,14 +15,12 @@ from fdmix.analytic import (
     fairness_config,
     throughputs,
 )
+from fdmix import simulator
 from fdmix.simulator import (
     AP,
     FD,
     HD,
-    _BLOCK,
-    ApQueue,
     Packet,
-    SimState,
     SimStats,
     SlotOutcome,
     _winners,
@@ -45,31 +41,16 @@ DCA22 = dca_config(2, 2)
 MIXED = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
 
 
-def _on_streams(config, slots, warmup, capacity, seed):
-    """``step()``'s counters, misses aside, on the reference's two streams: the window
-    is the first ``capacity`` destinations, the winners ``_winners`` of the uniforms."""
-    uniforms, destinations = streams(seed)
-    total = config.m + config.n
-    dests = chain.from_iterable(destinations.integers(0, total, _BLOCK).tolist() for _ in repeat(None))
-    window = list(islice(dests, capacity))
-    draws = map(uniforms.random, repeat(_BLOCK))
-    state = SimState(
-        config=config,
-        queue=ApQueue(deque(window), capacity),
-        draws=draws,
-        winners=chain.from_iterable(_winners(config, u).tolist() for u in draws),
-        dests=dests,
-        in_window=np.bincount(window, minlength=total).tolist(),
-        gone=[0] * total,
-        owed=[0] * total,
-        served=[0] * total,
-        won=[0] * total,
-    )
-    return replace(_walk(state, slots, warmup), fd_wins_no_packet=0)
+def _on_streams(simulate, *args):
+    """``simulate(*args)`` with ``new_sim`` on the reference's streams (a context, for Hypothesis)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_generators", streams)
+        return simulate(*args)
 
 
-def _walk(state, slots, warmup):
-    """SimStats of ``state`` stepped ``warmup`` slots unmeasured, then ``slots``."""
+def _walk(config, slots, warmup, capacity, seed):
+    """``SimStats`` of a ``new_sim`` state stepped ``warmup`` slots unmeasured, then ``slots``."""
+    state = new_sim(config, capacity, seed)
     state.measuring = False
     for _ in range(warmup):
         step(state)
@@ -314,7 +295,7 @@ class TestStepInvariants:
         pytest.param(dca_config(40, 1), 3, 4097, 1, id="dca401-misses-w4097-cap1"),
     ])
     def test_outcomes_and_counters_agree(self, config, seed, warmup, capacity):
-        # the tallies are counted from step()'s outcomes, apart from _as_stats
+        # the tallies are counted from step()'s outcomes, apart from SimState.stats
         stats, down, up, ap_wins, ap_hd, fd_misses = _walk_checking_invariants(
             config, 20_000, seed, warmup, capacity
         )
@@ -406,7 +387,7 @@ class TestRun:
     def test_matches_manual_stepping(self, config, slots, warmup, capacity, seed):
         # step() is the oracle: run() must give its counters draw for draw
         stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
-        assert stats == _walk(new_sim(config, capacity=capacity, seed=seed), slots, warmup)
+        assert stats == _walk(config, slots, warmup, capacity, seed)
 
     def test_warmup_slots_not_counted(self):
         stats = run(DCA22, 1_000, warmup_slots=777, seed=0)
@@ -440,7 +421,7 @@ class TestRun:
         # values are exact in binary, so the closure holds in floats as well
         cfg = NetworkConfig(1, 1, np.float32(0.625), np.float32(0.25), np.float32(0.125))
         assert type(new_sim(cfg).config.p_A) is float
-        assert run(cfg, 2_000, warmup_slots=0, seed=3) == _walk(new_sim(cfg, seed=3), 2_000, 0)
+        assert run(cfg, 2_000, warmup_slots=0, seed=3) == _walk(cfg, 2_000, 0, None, 3)
 
     @pytest.mark.parametrize("config,slots,capacity", [
         (MIXED, 150_000, None),
@@ -512,7 +493,7 @@ class TestRunProperties:
     @given(config=valid_configs(), **_spans)
     def test_matches_step_on_random_networks(self, config, slots, warmup, capacity, seed):
         stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
-        assert stats == _walk(new_sim(config, capacity=capacity, seed=seed), slots, warmup)
+        assert stats == _walk(config, slots, warmup, capacity, seed)
 
 
 class TestExactRegimes:
@@ -574,9 +555,9 @@ class TestEmpiricalReport:
 
 
 class TestAgainstUnboundedReference:
-    """Fed the same uniforms and backlog destinations, ``step()`` at any
-    ``capacity`` and the unbounded reference consume the same packets in the
-    same slots, on the saturation boundary of fair(2,2) too."""
+    """Fed the same uniforms and backlog destinations, ``run()`` and ``step()``
+    at any ``capacity`` and the unbounded reference consume the same packets
+    in the same slots, on the saturation boundary of fair(2,2) too."""
 
     @pytest.mark.parametrize("config", [
         DCA22, MIXED, fairness_config(2, 2), fairness_config(3, 0), dca_config(0, 3),
@@ -584,11 +565,13 @@ class TestAgainstUnboundedReference:
     def test_flows_match_reference(self, config):
         reference = run_reference(config, 20_000, 2_000, seed=11)
         for capacity in (1, default_capacity(config), 500):
-            assert _on_streams(config, 20_000, 2_000, capacity, seed=11) == reference, capacity
+            ran = _on_streams(run, config, 20_000, 2_000, capacity, 11)
+            assert ran == _on_streams(_walk, config, 20_000, 2_000, capacity, 11), capacity
+            assert ran == replace(reference, fd_wins_no_packet=ran.fd_wins_no_packet), capacity
 
     @settings(max_examples=60, deadline=None)
     @given(config=valid_configs(), slots=_spans["slots"], warmup=_spans["warmup"],
            seed=_spans["seed"], capacity=st.integers(1, 60), other=st.integers(1, 60))
     def test_capacity_changes_only_misses(self, config, slots, warmup, seed, capacity, other):
-        assert (_on_streams(config, slots, warmup, capacity, seed)
-                == _on_streams(config, slots, warmup, other, seed))
+        a, b = (_on_streams(run, config, slots, warmup, c, seed) for c in (capacity, other))
+        assert a == replace(b, fd_wins_no_packet=a.fd_wins_no_packet)

@@ -65,6 +65,7 @@ class TestCompare:
         stats = run(MIXED, 100_000, seed=0)
         result = compare(throughputs(MIXED), stats, MIXED)
         assert result.overall
+        assert result.z_max == 4.0  # the default, as `fdmix validate --z-max` has it
         flows = _by_name(result)
         assert set(flows) == {"hd_down", "hd_up", "fd_down", "fd_up", "p", "sum"}
         for flow in flows.values():
