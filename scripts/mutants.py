@@ -18,13 +18,16 @@ the change::
     python3 scripts/mutants.py                      # every module
     python3 scripts/mutants.py --module simulator   # one file
 
-Progress goes to stderr, one line per mutant.
+Progress goes to stderr, one line per mutant.  SIGTERM stops the audit:
+the running pytest processes are killed, the queued mutants are skipped and
+the copies are removed before the script exits with status 143.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import os
 import queue
 import shutil
@@ -32,6 +35,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from itertools import islice
 from pathlib import Path
@@ -42,6 +46,8 @@ PACKAGE = ROOT / "src" / "fdmix"
 JOBS = 2  # pytest processes at a time
 TIMEOUT = 150.0  # seconds per pytest run; a mutant that loops forever is killed by it
 CRITERION_6B = "tests/test_acceptance.py::test_criterion_06b_million_slots_fairness"
+STOP = threading.Event()  # set by SIGTERM: no pytest starts after it
+RUNNING: set[subprocess.Popen] = set()  # the pytest processes now running
 
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -111,21 +117,44 @@ def mutants(source: str) -> Iterator[tuple[Site, str]]:
         yield Site(node.lineno, node.col_offset, change), ast.unparse(tree)
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """Kill ``proc`` and every process it started; not once it is reaped, as
+    its pid may then belong to another process."""
+    if proc.returncode is None:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+
+
+def _on_sigterm(signum, frame) -> None:
+    """Kill every running pytest, stop new ones, and unwind the main thread,
+    which removes the copies on its way out.  A second signal is ignored."""
+    signal.signal(signum, signal.SIG_IGN)
+    STOP.set()
+    for proc in list(RUNNING):
+        _kill_group(proc)
+    raise SystemExit(128 + signum)
+
+
 def _pytest(copy: Path) -> str:
-    """``"survived"``, ``"killed"`` or ``"timeout"``: tier-1 without 6b in ``copy``."""
+    """``"survived"``, ``"killed"`` or ``"timeout"``: tier-1 without 6b in ``copy``;
+    ``"skipped"`` once SIGTERM has come."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", "--deselect", CRITERION_6B]
     with subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+        RUNNING.add(proc)
         try:
+            if STOP.is_set():  # the signal came before this process was listed
+                return "skipped"
             return "survived" if proc.wait(TIMEOUT) == 0 else "killed"
         except subprocess.TimeoutExpired:
             return "timeout"
         finally:
+            RUNNING.discard(proc)
             if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)  # pytest and any process it started
+                _kill_group(proc)
                 proc.wait()
 
 
@@ -162,8 +191,12 @@ def main(argv=None) -> int:
             return 1
 
         def judge(job: tuple[str, Site, str]) -> str:
+            if STOP.is_set():
+                return "skipped"
             name, site, text = job
             result = play({name: text})
+            if STOP.is_set():  # its pytest was killed, not judged
+                return "skipped"
             print(f"{name}.py:{site.line}:{site.column} [{site.change}] {result}",
                   file=sys.stderr, flush=True)
             return result
@@ -184,4 +217,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    signal.signal(signal.SIGTERM, _on_sigterm)
     sys.exit(main())

@@ -118,6 +118,11 @@ class ThroughputReport(NamedTuple):
     sum: float
 
 
+# The last config found plain and valid whose type is exactly NetworkConfig.
+# Frozen in plain numbers it cannot change; holding it keeps its id from reuse.
+_last_valid: NetworkConfig | None = None
+
+
 def validate(config: NetworkConfig) -> list[str]:
     """Return every invariant violated by ``config``, empty when valid.
 
@@ -127,7 +132,12 @@ def validate(config: NetworkConfig) -> list[str]:
     for probabilities: a real number in [0, 1], integral ones included,
     but not ``bool``.
     """
+    global _last_valid
+    if config is _last_valid:
+        return []
     if _plain_and_valid(config.m, config.n, config.p_A, config.p_F, config.p_H):
+        if type(config) is NetworkConfig:
+            _last_valid = config
         return []
     out: list[str] = []
     m = _count_or_none("m", config.m, out)
@@ -188,8 +198,13 @@ def require_valid(config: NetworkConfig) -> NetworkConfig:
     The counts come back as ``int`` and the probabilities as ``float``:
     ``config`` itself when it already holds them, a new config otherwise.
     """
+    global _last_valid
+    if config is _last_valid:
+        return config
     m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
     if _plain_and_valid(m, n, p_A, p_F, p_H):
+        if type(config) is NetworkConfig:
+            _last_valid = config
         return config
     violations = validate(config)
     if violations:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import sys
+import threading
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
+import fdmix.analytic as analytic
 from fdmix.analytic import (
     CLOSURE_TOL,
     MAX_STATIONS,
@@ -72,6 +76,31 @@ def closure_edge_configs(draw):
 
 class _NotPlain(float):
     """A float that is not of type ``float``, so validate() takes its reporting path."""
+
+
+class _SubConfig(NetworkConfig):
+    """A config whose type is not exactly ``NetworkConfig``."""
+
+
+CALLS = {f.__name__: f for f in (validate, require_valid, head_fraction, throughputs)}
+
+
+def _outcome(call, cfg):
+    """What ``call(cfg)`` gives: the violations it raises, or its result, and
+    for a config also whether it is ``cfg`` and the types of its fields."""
+    try:
+        result = call(cfg)
+    except InvalidConfigError as exc:
+        return "raises", exc.violations
+    if isinstance(result, NetworkConfig):
+        return result, result is cfg, [type(value) for value in dataclasses.astuple(result)]
+    return result
+
+
+def _fresh_outcome(call, cfg):
+    """:func:`_outcome` in a process that has judged no config yet."""
+    analytic._last_valid = None
+    return _outcome(call, cfg)
 
 
 class TestFrozenValues:
@@ -273,6 +302,75 @@ def assert_plain_floats(report):
         assert type(getattr(report, field)) is float, field
 
 
+class TestLastValidMemo:
+    """validate() and require_valid() remember only the last plain, valid
+    config whose type is exactly NetworkConfig."""
+
+    @pytest.fixture
+    def judged(self, monkeypatch):
+        """The arguments of every call to _plain_and_valid, in order."""
+        calls = []
+        real = analytic._plain_and_valid
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(analytic, "_plain_and_valid", counted)
+        return calls
+
+    def test_a_plain_config_is_judged_once_in_a_row(self, judged):
+        cfg = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
+        for _ in range(3):
+            assert validate(cfg) == [] and require_valid(cfg) is cfg
+            assert throughputs(cfg).p == head_fraction(cfg) == 0.75
+        assert len(judged) == 1
+        # an equal config is another object, and the memo holds one
+        twin = dataclasses.replace(cfg)
+        assert validate(twin) == [] and validate(cfg) == []
+        assert len(judged) == 3
+
+    @pytest.mark.parametrize("make", [_SubConfig, types.SimpleNamespace],
+                             ids=["subclass", "duck-typed"])
+    def test_other_objects_are_judged_on_every_call(self, judged, make):
+        cfg = make(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)
+        for _ in range(3):
+            assert validate(cfg) == [] and require_valid(cfg) is cfg
+        assert len(judged) == 6
+        object.__setattr__(cfg, "p_A", 0.7)  # the closure is now 1.1
+        assert len(validate(cfg)) == 1
+        with pytest.raises(InvalidConfigError):
+            require_valid(cfg)
+
+    def test_two_threads_get_every_verdict_right(self):
+        # one thread judges a valid config, the other an invalid one, with
+        # the interpreter switching between them as often as it can
+        valid = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
+        invalid = NetworkConfig(1, 1, 0.7, 0.3, 0.1)
+        expected = {cfg: (_fresh_outcome(validate, cfg), _fresh_outcome(require_valid, cfg))
+                    for cfg in (valid, invalid)}
+        assert expected[valid][0] == [] and expected[invalid][0] != []
+        wrong = []
+
+        def judge(cfg):
+            for _ in range(10_000):
+                if (_outcome(validate, cfg), _outcome(require_valid, cfg)) != expected[cfg]:
+                    wrong.append(cfg)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=judge, args=(cfg,)) for cfg in (valid, invalid)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+
 class TestNumberTypes:
     """throughputs() returns plain floats whatever real numbers it is given."""
 
@@ -472,6 +570,32 @@ class TestProperties:
             cfg.m, cfg.n, _NotPlain(cfg.p_A), _NotPlain(cfg.p_F), _NotPlain(cfg.p_H)
         ))
         assert plain == (reported == [])
+
+    @settings(max_examples=150)
+    @given(st.lists(valid_configs() | any_configs, min_size=1, max_size=4), st.data())
+    def test_memo_verdicts_match_a_fresh_process(self, plain, data):
+        # each config beside an equal copy and its _NotPlain and numpy twins,
+        # judged in any order, the same object often several times in a row
+        pool = []
+        for cfg in plain:
+            probs = (cfg.p_A, cfg.p_F, cfg.p_H)
+            pool += [
+                cfg,
+                dataclasses.replace(cfg),
+                NetworkConfig(cfg.m, cfg.n, *map(_NotPlain, probs)),
+                NetworkConfig(np.int64(cfg.m), np.int64(cfg.n), *map(np.float64, probs)),
+            ]
+        expected = {
+            (i, name): _fresh_outcome(call, cfg)
+            for i, cfg in enumerate(pool) for name, call in CALLS.items()
+        }
+        analytic._last_valid = None
+        order = data.draw(st.lists(
+            st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(sorted(CALLS))),
+            min_size=1, max_size=40,
+        ))
+        for i, name in order:
+            assert _outcome(CALLS[name], pool[i]) == expected[i, name]
 
     @settings(max_examples=60)
     @given(st.integers(1, 50), st.integers(1, 50))

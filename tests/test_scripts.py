@@ -1,12 +1,20 @@
 """Smoke runs of the scripts: the two studies at tiny sizes, the digest, and
-the mutation audit's mutants (the audit itself runs the suite, so not here).
+the mutation audit's mutants and its stop on SIGTERM (the audit itself runs
+the suite, so it runs here only on a one-test suite of its own).
 
 The studies are checked for exit code and the shape of their output only:
 at these run lengths the verdict on the head composition depends on the
 seed.  The digest is checked line for line against its pinned value.
 """
 
+import contextlib
+import os
 import runpy
+import shutil
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -95,3 +103,52 @@ def test_mutants_change_one_site_each():
         (3, "< -> <=", ["    a -= 2.5", "    return not (a <= b and a * b)"]),
         (3, "* -> /", ["    a -= 2.5", "    return not (a < b and a / b)"]),
     ]
+
+
+def test_mutants_sigterm_kills_pytest_and_removes_copies(tmp_path):
+    # a tree with a two-site module and a one-test suite that records its
+    # pytest's pid and sleeps, so the signal lands while that pytest runs,
+    # with both mutants still queued
+    tree = tmp_path / "tree"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(SCRIPTS / "mutants.py", tree / "scripts")
+    package = tree / "src" / "fdmix"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("", encoding="utf-8")
+    (package / "stats.py").write_text("def f(a):\n    return a + 1\n", encoding="utf-8")
+    (tree / "pytest.ini").write_text("[pytest]\n", encoding="utf-8")
+    (tree / "tests").mkdir()
+    pids = tmp_path / "pids"
+    (tree / "tests" / "test_sleep.py").write_text(
+        "import os, time\n"
+        "def test_sleep():\n"
+        f"    with open({str(pids)!r}, 'a') as out:\n"
+        "        out.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(60)\n",
+        encoding="utf-8",
+    )
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    audit = subprocess.Popen(
+        [sys.executable, str(tree / "scripts" / "mutants.py")],
+        env={**os.environ, "TMPDIR": str(scratch)},
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (pids.exists() and pids.read_text(encoding="utf-8").endswith("\n")):
+            assert audit.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        audit.send_signal(signal.SIGTERM)
+        assert audit.wait(timeout=10) == 128 + signal.SIGTERM
+        [pid] = map(int, pids.read_text(encoding="utf-8").split())  # no mutant ran
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+        assert list(scratch.glob("mutants-*")) == []
+    finally:
+        audit.kill()
+        audit.wait()
+        if pids.exists():
+            for pid in map(int, pids.read_text(encoding="utf-8").split()):
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(pid, signal.SIGKILL)
