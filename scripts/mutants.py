@@ -13,10 +13,15 @@ a 150-s timeout, without criterion 6b, which fails by design, in a copy of the
 repository.  At most two pytest processes run at a time.  A mutant is
 killed when pytest fails or times out.  The report gives the kill count
 per module, then each survivor's ``file:line:column``, its source line and
-the change::
+the change, except the survivors listed in ``EQUIVALENT``::
 
     python3 scripts/mutants.py                      # every module
     python3 scripts/mutants.py --module simulator   # one file
+    python3 scripts/mutants.py --since HEAD~1       # the lines changed since a commit
+
+``--since REV`` mutates only the sites on lines of the modules as they are
+now that ``git diff -U0 REV`` adds or changes; with no such site it runs no
+pytest.
 
 Progress goes to stderr, one line per mutant.  SIGTERM stops the audit:
 the running pytest processes are killed, the queued mutants are skipped and
@@ -30,6 +35,7 @@ import ast
 import contextlib
 import os
 import queue
+import re
 import shutil
 import signal
 import subprocess
@@ -57,6 +63,45 @@ SWAPS = {
 SYMBOLS = {
     ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==", ast.NotEq: "!=",
     ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.And: "and", ast.Or: "or",
+}
+
+# Known survivors that no test of the program's outputs can kill, each under
+# its reason, keyed by module, stripped source line (comment included) and
+# change.  A line that moves keeps its key; an edited line loses it, so its
+# survivors are reported again until they are judged anew.
+EQUIVALENT = {
+    # near 1, closure - 1.0 is a multiple of 2**-53 and CLOSURE_TOL is not
+    ("analytic", "if not abs(closure - 1.0) <= CLOSURE_TOL:", "<= -> <"),
+    ("analytic", "and abs(p_A + m * p_F + n * p_H - 1.0) <= CLOSURE_TOL", "<= -> <"),
+    # at either bound as_count's slow path returns the same int (both sites)
+    ("analytic", "if type(value) is int and minimum <= value and "
+     "(maximum is None or value <= maximum):", "<= -> <"),
+    # _show's value has over 4300 digits, so it is never 0 and never in (0, 1)
+    ("analytic", 'sign = "a negative" if value < 0 else "an"', "< -> <="),
+    ("analytic", 'sign = "a negative" if value < 0 else "an"', "0 -> 1"),
+    # the estimate stays at or below the true digit count; the loop corrects it
+    ("analytic", "digits = int((size.bit_length() - 1) * math.log10(2))  # at most one short",
+     "- -> +"),
+    ("analytic", "digits = int((size.bit_length() - 1) * math.log10(2))  # at most one short",
+     "1 -> 2"),
+    # SimStats defaults: the stats property passes every field, and a test
+    # that leaves these out reads nothing that depends on them
+    ("simulator", "ap_wins_hd_head: int = 0", "0 -> 1"),
+    ("simulator", "fd_wins_no_packet: int = 0", "0 -> 1"),
+    # a cache size changes no outcome
+    ("simulator", "@lru_cache(maxsize=16)", "16 -> 17"),
+    # _winners: an absent class's station index is never read
+    ("simulator", "if n > 0:", "> -> >="),
+    ("simulator", "if m > 0:", "> -> >="),
+    # when run() compacts the window changes no head it meets
+    ("simulator", "if len(queue.entries) > 4 * queue.capacity:  # amortised O(1) per hit",
+     "> -> >="),
+    ("simulator", "if len(queue.entries) > 4 * queue.capacity:  # amortised O(1) per hit",
+     "* -> /"),
+    ("simulator", "if len(queue.entries) > 4 * queue.capacity:  # amortised O(1) per hit",
+     "4 -> 5"),
+    # differs only at a z of exactly z_max, which no judged run gives
+    ("stats", "ok = abs(z) <= z_max", "<= -> <"),
 }
 
 
@@ -108,9 +153,12 @@ def _mutate(tree: ast.AST, node: ast.AST, index: int | None) -> str:
     return f"{SYMBOLS[op]}{eq} -> {SYMBOLS[SWAPS[op]]}{eq}"
 
 
-def mutants(source: str) -> Iterator[tuple[Site, str]]:
-    """Each one-site mutant of ``source``: its site and its text."""
-    for k in range(sum(1 for _ in _sites(ast.parse(source)))):
+def mutants(source: str, lines: set[int] | None = None) -> Iterator[tuple[Site, str]]:
+    """Each one-site mutant of ``source``, or of its sites on ``lines`` when
+    given: its site and its text."""
+    for k, (node, _) in enumerate(_sites(ast.parse(source))):
+        if lines is not None and node.lineno not in lines:
+            continue
         tree = ast.parse(source)
         node, index = next(islice(_sites(tree), k, None))
         change = _mutate(tree, node, index)
@@ -158,15 +206,27 @@ def _pytest(copy: Path) -> str:
                 proc.wait()
 
 
-def main(argv=None) -> int:
-    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--module", choices=modules, help="mutate this module only")
-    args = parser.parse_args(argv)
-    chosen = [args.module] if args.module else modules
-    sources = {name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in chosen}
-    work = [(name, site, text) for name in chosen for site, text in mutants(sources[name])]
+def _touched_lines(rev: str, path: Path) -> set[int]:
+    """The lines of ``path`` as it is now that ``git diff -U0 rev`` adds or
+    changes; ValueError when git refuses ``rev``."""
+    diff = subprocess.run(
+        ["git", "diff", "--no-color", "--no-ext-diff", "-U0", "--end-of-options", rev,
+         "--", str(path)],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    if diff.returncode:
+        # outside a repository git prints a warning and its usage: keep one line
+        raise ValueError((diff.stderr.strip() or f"git diff exited with {diff.returncode}")
+                         .splitlines()[0])
+    lines: set[int] = set()
+    for start, count in re.findall(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@", diff.stdout, re.MULTILINE):
+        lines.update(range(int(start), int(start) + int(count or 1)))
+    return lines
 
+
+def _judge_all(sources: dict[str, str], work: list[tuple[str, Site, str]]) -> list[str] | None:
+    """Each mutant's result, in ``work``'s order; None when the suite fails on
+    the modules of ``sources`` unparsed unmutated."""
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copies: queue.Queue[Path] = queue.Queue()
         for i in range(JOBS):
@@ -186,9 +246,8 @@ def main(argv=None) -> int:
                     (copy / "src" / "fdmix" / f"{name}.py").write_text(sources[name], encoding="utf-8")
                 copies.put(copy)
 
-        if play({name: ast.unparse(ast.parse(sources[name])) for name in chosen}) != "survived":
-            print("the suite fails on the unmutated modules; no mutant can be judged", file=sys.stderr)
-            return 1
+        if play({name: ast.unparse(ast.parse(text)) for name, text in sources.items()}) != "survived":
+            return None
 
         def judge(job: tuple[str, Site, str]) -> str:
             if STOP.is_set():
@@ -202,16 +261,45 @@ def main(argv=None) -> int:
             return result
 
         with ThreadPoolExecutor(JOBS) as pool:
-            results = list(pool.map(judge, work))
+            return list(pool.map(judge, work))
 
+
+def main(argv=None) -> int:
+    modules = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--module", choices=modules, help="mutate this module only")
+    parser.add_argument("--since", metavar="REV",
+                        help="mutate only the lines changed since this git revision")
+    args = parser.parse_args(argv)
+    chosen = [args.module] if args.module else modules
+    touched = None
+    if args.since is not None:
+        try:
+            touched = {name: _touched_lines(args.since, PACKAGE / f"{name}.py") for name in chosen}
+        except (OSError, ValueError) as exc:
+            parser.error(f"--since {args.since}: {exc}")
+    sources = {name: (PACKAGE / f"{name}.py").read_text(encoding="utf-8") for name in chosen}
+    work = [(name, site, text) for name in chosen
+            for site, text in mutants(sources[name], None if touched is None else touched[name])]
+
+    results = _judge_all(sources, work) if work else []
+    if results is None:
+        print("the suite fails on the unmutated modules; no mutant can be judged", file=sys.stderr)
+        return 1
+    survivors = [
+        (name, site, sources[name].splitlines()[site.line - 1].strip())
+        for (name, site, _), result in zip(work, results) if result == "survived"
+    ]
     for name in chosen:
         outcomes = [result for (module, _, _), result in zip(work, results) if module == name]
         killed = sum(result != "survived" for result in outcomes)
         timeouts = outcomes.count("timeout")
-        print(f"{name}.py: {killed} of {len(outcomes)} killed ({timeouts} by the timeout)")
-    for (name, site, _), result in zip(work, results):
-        if result == "survived":
-            line = sources[name].splitlines()[site.line - 1].strip()
+        listed = sum(module == name and (module, line, site.change) in EQUIVALENT
+                     for module, site, line in survivors)
+        print(f"{name}.py: {killed} of {len(outcomes)} killed ({timeouts} by the timeout, "
+              f"{listed} survivors listed as equivalent)")
+    for name, site, line in survivors:
+        if (name, line, site.change) not in EQUIVALENT:
             print(f"  {name}.py:{site.line}:{site.column}  {line}  [{site.change}]")
     return 0
 

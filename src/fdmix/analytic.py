@@ -132,12 +132,7 @@ def validate(config: NetworkConfig) -> list[str]:
     for probabilities: a real number in [0, 1], integral ones included,
     but not ``bool``.
     """
-    global _last_valid
-    if config is _last_valid:
-        return []
-    if _plain_and_valid(config.m, config.n, config.p_A, config.p_F, config.p_H):
-        if type(config) is NetworkConfig:
-            _last_valid = config
+    if config is _last_valid or _plain_and_valid(config):
         return []
     out: list[str] = []
     m = _count_or_none("m", config.m, out)
@@ -168,20 +163,27 @@ def validate(config: NetworkConfig) -> list[str]:
     return out
 
 
-def _plain_and_valid(m, n, p_A, p_F, p_H) -> bool:
+def _plain_and_valid(config: NetworkConfig) -> bool:
     """True when the counts are plain ``int``, the probabilities plain
     ``float``, and every rule of :func:`validate` holds.  False sends the
     caller to the reporting path of :func:`validate`, which names the
-    broken rules.
+    broken rules.  It is the only code that writes ``_last_valid``, with a
+    config that passes and whose type is exactly ``NetworkConfig``.
     """
-    return (
+    global _last_valid
+    m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
+    if not (
         type(m) is int and type(n) is int
         and type(p_A) is float and type(p_F) is float and type(p_H) is float
         and 0 <= m <= MAX_STATIONS and 0 <= n <= MAX_STATIONS and m + n >= 1
         and 0.0 <= p_A <= 1.0 and 0.0 <= p_F <= 1.0 and 0.0 <= p_H <= 1.0
         and (m != 0 or p_F == 0.0) and (n != 0 or p_H == 0.0)
         and abs(p_A + m * p_F + n * p_H - 1.0) <= CLOSURE_TOL
-    )
+    ):
+        return False
+    if type(config) is NetworkConfig:
+        _last_valid = config
+    return True
 
 
 def _count_or_none(name: str, value, out: list[str]) -> int | None:
@@ -198,17 +200,12 @@ def require_valid(config: NetworkConfig) -> NetworkConfig:
     The counts come back as ``int`` and the probabilities as ``float``:
     ``config`` itself when it already holds them, a new config otherwise.
     """
-    global _last_valid
-    if config is _last_valid:
-        return config
-    m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
-    if _plain_and_valid(m, n, p_A, p_F, p_H):
-        if type(config) is NetworkConfig:
-            _last_valid = config
+    if config is _last_valid or _plain_and_valid(config):
         return config
     violations = validate(config)
     if violations:
         raise InvalidConfigError(violations)
+    m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
     return NetworkConfig(
         operator.index(m), operator.index(n), float(p_A), float(p_F), float(p_H)
     )

@@ -168,7 +168,7 @@ def cmd_theory(scenario: Scenario) -> dict:
 
 
 def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
-    """Run the scenario; also return the resolved parameters it ran with."""
+    """Run the scenario; also return the payload head, with ``sim`` as run."""
     from .simulator import RNG_ALGORITHM, default_capacity, default_warmup, run
 
     warmup, capacity = scenario.warmup, scenario.capacity
@@ -186,18 +186,17 @@ def _simulate(scenario: Scenario) -> tuple[SimStats, dict]:
         capacity=sim["capacity"],
         seed=sim["seed"],
     )
-    return stats, sim
+    return stats, {**_head(scenario), "sim": sim}
 
 
 def cmd_simulate(scenario: Scenario) -> dict:
     """Run the slot simulator and report empirical flows plus counters."""
     from .simulator import empirical_report
 
-    stats, sim = _simulate(scenario)
+    stats, head = _simulate(scenario)
     report = empirical_report(stats, scenario.config)
     return {
-        **_head(scenario),
-        "sim": sim,
+        **head,
         "empirical": report._asdict(),
         "counters": {
             "total_slots": stats.total_slots,
@@ -213,7 +212,7 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
     from .stats import FAIL, PASS, _check_z_max, compare
 
     _check_z_max(z_max)  # before any slot is simulated
-    stats, sim = _simulate(scenario)
+    stats, head = _simulate(scenario)
     theory = throughputs(scenario.config)
     result = compare(theory, stats, scenario.config, z_max=z_max)
     flows = [
@@ -228,8 +227,7 @@ def cmd_validate(scenario: Scenario, z_max: float) -> tuple[dict, int]:
         for flow in result.flows
     ]
     payload = {
-        **_head(scenario),
-        "sim": sim,
+        **head,
         "z_max": result.z_max,
         "theory": theory._asdict(),
         "flows": flows,

@@ -85,8 +85,9 @@ class SlotOutcome(NamedTuple):
 class ApQueue:
     """Window over the AP backlog: the oldest ``capacity`` packets.
 
-    ``entries`` holds encoded destinations, oldest first.  The length is
-    restored to ``capacity`` by the end of every step.
+    ``entries`` holds encoded destinations, oldest first: exactly ``capacity``
+    after every :func:`step`.  In :func:`run` a packet that a full-duplex hit
+    took stays until ``_compact``, counted in ``SimState.gone``.
     """
 
     entries: deque[int]

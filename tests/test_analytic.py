@@ -507,12 +507,14 @@ class TestProperties:
             assert abs(lhs - rhs) <= TOL
 
     @given(valid_configs())
+    @example(NetworkConfig(2, 0, 0.5, 0.25, -0.0))  # p_H = -0.0 must not give hd_up = -0.0
     def test_absent_class_flows_are_zero(self, cfg):
         rep = throughputs(cfg)
-        if cfg.m == 0:
-            assert rep.fd_down == 0.0 and rep.fd_up == 0.0
-        if cfg.n == 0:
-            assert rep.hd_down == 0.0 and rep.hd_up == 0.0
+        absent = ([rep.fd_down, rep.fd_up] if cfg.m == 0 else []) + (
+            [rep.hd_down, rep.hd_up] if cfg.n == 0 else []
+        )
+        for flow in absent:
+            assert flow == 0.0 and math.copysign(1.0, flow) == 1.0
 
     @settings(max_examples=200)
     @given(st.one_of(valid_configs(), any_configs))
@@ -563,7 +565,7 @@ class TestProperties:
     @example(NetworkConfig(0, 1, 0.5, 1e-300, 0.5))
     @example(NetworkConfig(1, 0, 0.5, 0.5, 5e-324))
     def test_plain_verdict_matches_reporting_path(self, cfg):
-        plain = _plain_and_valid(cfg.m, cfg.n, cfg.p_A, cfg.p_F, cfg.p_H)
+        plain = _plain_and_valid(cfg)
         assert plain == (validate(cfg) == [])
         # the same floats through the rules as validate() reports them
         reported = validate(NetworkConfig(

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts: the two studies at tiny sizes, the digest, and
-the mutation audit's mutants and its stop on SIGTERM (the audit itself runs
-the suite, so it runs here only on a one-test suite of its own).
+the mutation audit's mutants, its ``--since`` filter and its stop on SIGTERM
+(the audit itself runs the suite, so it runs here only on a one-test suite
+of its own, or with its pytest faked).
 
 The studies are checked for exit code and the shape of their output only:
 at these run lengths the verdict on the head composition depends on the
@@ -68,6 +69,7 @@ def test_validate_presets(capsys):
     ("validate_presets.py", ["--seeds", "0"]),
     ("validate_presets.py", ["--seeds", "-1"]),
     ("mutants.py", ["--module", "nosuch"]),
+    ("mutants.py", ["--since", "no-such-revision"]),
 ])
 def test_bad_arguments_exit_2(capsys, name, argv):
     # one argparse error line and exit 2, as the CLI does, not a traceback;
@@ -102,6 +104,36 @@ def test_mutants_change_one_site_each():
         (3, "and -> or", ["    a -= 2.5", "    return not (a < b or a * b)"]),
         (3, "< -> <=", ["    a -= 2.5", "    return not (a <= b and a * b)"]),
         (3, "* -> /", ["    a -= 2.5", "    return not (a < b and a / b)"]),
+    ]
+
+
+def test_mutants_since_mutates_only_changed_lines(tmp_path, capsys, monkeypatch):
+    # a git repository whose one module, since its commit, kept a line with
+    # two sites, edited one to a survivor listed as equivalent and one to a
+    # survivor that is not; pytest is faked to pass, so none starts
+    tree = tmp_path / "tree"
+    (tree / "scripts").mkdir(parents=True)
+    shutil.copy(SCRIPTS / "mutants.py", tree / "scripts")
+    package = tree / "src" / "fdmix"
+    package.mkdir(parents=True)
+    module = package / "stats.py"
+    head = "def judge(z, z_max):\n    z = z - 0.5\n"
+    module.write_text(head + "    ok = abs(z) < z_max\n    return ok\n", encoding="utf-8")
+    git = ["git", "-C", str(tree), "-c", "user.name=t", "-c", "user.email=t@t",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "base"]):
+        subprocess.run(git + args, check=True, capture_output=True)
+    module.write_text(head + "    ok = abs(z) <= z_max\n    return ok, 2\n", encoding="utf-8")
+    main = runpy.run_path(str(tree / "scripts" / "mutants.py"))["main"]
+    monkeypatch.setitem(main.__globals__, "_pytest", lambda copy: "survived")
+    assert main(["--since", "HEAD"]) == 0
+    out, err = capsys.readouterr()
+    assert sorted(err.splitlines()) == [
+        "stats.py:3:9 [<= -> <] survived", "stats.py:4:15 [2 -> 3] survived",
+    ]
+    assert out.splitlines() == [
+        "stats.py: 0 of 2 killed (0 by the timeout, 1 survivors listed as equivalent)",
+        "  stats.py:4:15  return ok, 2  [2 -> 3]",
     ]
 
 
