@@ -11,7 +11,8 @@ Prints one sha256 line per section:
 - ``step``: the outcomes of ``step()`` walks over the same runs, and each
   walk's final ``state.stats``, window and debt;
 - ``cli``: stdout, stderr and exit code of ``theory``, ``simulate``,
-  ``validate`` and ``sweep`` on a few command lines, usage errors included.
+  ``validate`` and ``sweep`` on a few command lines, usage errors and
+  invalid configs included.
 
 Run it against two source trees and compare the lines::
 
@@ -66,6 +67,11 @@ COMMANDS = [
     ["validate", "--preset", "dca", "--m", "1", "--n", "1", "--slots", "100", "--z-max", "0"],
     ["simulate", "--m", "1", "--n", "1", "--pA", "0.9", "--pF", "0.9", "--pH", "0.9"],
     ["sweep", "--total-stations", "6"],
+    # invalid configs: every broken rule named, in order, on stderr
+    ["theory", "--m", "-1", "--n", "0", "--pA", "2", "--pF", "0", "--pH", "0.5"],
+    ["theory", "--preset", "dca", "--m", "0", "--n", "0"],
+    ["simulate", "--m", "0", "--n", "0", "--pA", "nan", "--pF", "0.1", "--pH", "0"],
+    ["validate", "--m", "1", "--n", "1", "--pA", "0.7", "--pF", "0.3", "--pH", "0.1"],
 ]
 
 

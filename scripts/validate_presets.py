@@ -34,6 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--z-max", type=float, default=4.0)
     args = parser.parse_args(argv)
     try:
+        slots = as_count("slots", args.slots, 1)
         seeds = as_count("seeds", args.seeds, 1)
     except ValueError as exc:
         parser.error(str(exc))
@@ -42,7 +43,7 @@ def main(argv=None) -> int:
     failures = 0
     for name, config in CASES:
         for seed in range(seeds):
-            scenario = Scenario(config=config, slots=args.slots, seed=seed)
+            scenario = Scenario(config=config, slots=slots, seed=seed)
             try:
                 payload, code = cmd_validate(scenario, args.z_max)
             except (ValueError, OSError) as exc:

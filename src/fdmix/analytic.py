@@ -96,6 +96,23 @@ class NetworkConfig:
     p_F: float
     p_H: float
 
+    # True when the counts are plain ``int``, the probabilities plain
+    # ``float``, and every rule of :func:`validate` holds; judged once, when
+    # the config is built.  A class attribute, not a field.
+    _plain = False
+
+    def __post_init__(self):
+        m, n, p_A, p_F, p_H = self.m, self.n, self.p_A, self.p_F, self.p_H
+        if (
+            type(m) is int and type(n) is int
+            and type(p_A) is float and type(p_F) is float and type(p_H) is float
+            and 0 <= m <= MAX_STATIONS and 0 <= n <= MAX_STATIONS and m + n >= 1
+            and 0.0 <= p_A <= 1.0 and 0.0 <= p_F <= 1.0 and 0.0 <= p_H <= 1.0
+            and (m != 0 or p_F == 0.0) and (n != 0 or p_H == 0.0)
+            and abs(p_A + m * p_F + n * p_H - 1.0) <= CLOSURE_TOL
+        ):
+            object.__setattr__(self, "_plain", True)
+
 
 class ThroughputReport(NamedTuple):
     """Per-station flow rates plus the aggregate slot usage.
@@ -118,11 +135,6 @@ class ThroughputReport(NamedTuple):
     sum: float
 
 
-# The last config found plain and valid whose type is exactly NetworkConfig.
-# Frozen in plain numbers it cannot change; holding it keeps its id from reuse.
-_last_valid: NetworkConfig | None = None
-
-
 def validate(config: NetworkConfig) -> list[str]:
     """Return every invariant violated by ``config``, empty when valid.
 
@@ -132,7 +144,7 @@ def validate(config: NetworkConfig) -> list[str]:
     for probabilities: a real number in [0, 1], integral ones included,
     but not ``bool``.
     """
-    if config is _last_valid or _plain_and_valid(config):
+    if getattr(config, "_plain", False):
         return []
     out: list[str] = []
     m = _count_or_none("m", config.m, out)
@@ -163,29 +175,6 @@ def validate(config: NetworkConfig) -> list[str]:
     return out
 
 
-def _plain_and_valid(config: NetworkConfig) -> bool:
-    """True when the counts are plain ``int``, the probabilities plain
-    ``float``, and every rule of :func:`validate` holds.  False sends the
-    caller to the reporting path of :func:`validate`, which names the
-    broken rules.  It is the only code that writes ``_last_valid``, with a
-    config that passes and whose type is exactly ``NetworkConfig``.
-    """
-    global _last_valid
-    m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
-    if not (
-        type(m) is int and type(n) is int
-        and type(p_A) is float and type(p_F) is float and type(p_H) is float
-        and 0 <= m <= MAX_STATIONS and 0 <= n <= MAX_STATIONS and m + n >= 1
-        and 0.0 <= p_A <= 1.0 and 0.0 <= p_F <= 1.0 and 0.0 <= p_H <= 1.0
-        and (m != 0 or p_F == 0.0) and (n != 0 or p_H == 0.0)
-        and abs(p_A + m * p_F + n * p_H - 1.0) <= CLOSURE_TOL
-    ):
-        return False
-    if type(config) is NetworkConfig:
-        _last_valid = config
-    return True
-
-
 def _count_or_none(name: str, value, out: list[str]) -> int | None:
     try:
         return as_count(name, value, 0, MAX_STATIONS)
@@ -198,9 +187,10 @@ def require_valid(config: NetworkConfig) -> NetworkConfig:
     """Return ``config`` in plain numbers or raise :class:`InvalidConfigError`.
 
     The counts come back as ``int`` and the probabilities as ``float``:
-    ``config`` itself when it already holds them, a new config otherwise.
+    ``config`` itself when it was judged plain and valid when built, a new
+    :class:`NetworkConfig` otherwise, duck-typed input included.
     """
-    if config is _last_valid or _plain_and_valid(config):
+    if getattr(config, "_plain", False):
         return config
     violations = validate(config)
     if violations:

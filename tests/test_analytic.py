@@ -2,8 +2,6 @@
 
 import dataclasses
 import math
-import sys
-import threading
 import types
 from fractions import Fraction
 
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-import fdmix.analytic as analytic
 from fdmix.analytic import (
     CLOSURE_TOL,
     MAX_STATIONS,
@@ -24,7 +21,6 @@ from fdmix.analytic import (
     require_valid,
     throughputs,
     validate,
-    _plain_and_valid,
 )
 
 from strategies import valid_configs
@@ -44,14 +40,14 @@ def dca_gain(m, n):
 
 # Mostly invalid configs, with values near every rule's edge.
 probabilities = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0 + 1e-9, -0.0, math.nan]) | st.floats()
-any_configs = st.builds(
-    NetworkConfig,
+any_fields = st.tuples(
     st.integers(-2, 4) | st.sampled_from([2**53, 2**53 + 1]),
     st.integers(-2, 4),
     probabilities,
     probabilities,
     probabilities,
 )
+any_configs = any_fields.map(lambda fields: NetworkConfig(*fields))
 
 # Plain int/float configs, heavy on the edges of every rule.
 plain_counts = st.sampled_from([0, 1, MAX_STATIONS, MAX_STATIONS + 1, -1]) | st.integers(-1, 5)
@@ -80,27 +76,6 @@ class _NotPlain(float):
 
 class _SubConfig(NetworkConfig):
     """A config whose type is not exactly ``NetworkConfig``."""
-
-
-CALLS = {f.__name__: f for f in (validate, require_valid, head_fraction, throughputs)}
-
-
-def _outcome(call, cfg):
-    """What ``call(cfg)`` gives: the violations it raises, or its result, and
-    for a config also whether it is ``cfg`` and the types of its fields."""
-    try:
-        result = call(cfg)
-    except InvalidConfigError as exc:
-        return "raises", exc.violations
-    if isinstance(result, NetworkConfig):
-        return result, result is cfg, [type(value) for value in dataclasses.astuple(result)]
-    return result
-
-
-def _fresh_outcome(call, cfg):
-    """:func:`_outcome` in a process that has judged no config yet."""
-    analytic._last_valid = None
-    return _outcome(call, cfg)
 
 
 class TestFrozenValues:
@@ -302,73 +277,54 @@ def assert_plain_floats(report):
         assert type(getattr(report, field)) is float, field
 
 
-class TestLastValidMemo:
-    """validate() and require_valid() remember only the last plain, valid
-    config whose type is exactly NetworkConfig."""
+class TestBuiltVerdict:
+    """A config is judged once, when it is built, and keeps its verdict."""
 
-    @pytest.fixture
-    def judged(self, monkeypatch):
-        """The arguments of every call to _plain_and_valid, in order."""
-        calls = []
-        real = analytic._plain_and_valid
+    @settings(max_examples=300)
+    @given(any_fields)
+    @example((1, 1, "0.6", 0.3, 0.1))
+    @example((None, [], 0.6, object(), 0.1))
+    @example((10**5000, -(10**5000), math.inf, -math.inf, math.nan))
+    def test_construction_never_raises(self, fields):
+        cfg = NetworkConfig(*fields)
+        assert cfg._plain == (validate(cfg) == [])
 
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(analytic, "_plain_and_valid", counted)
-        return calls
-
-    def test_a_plain_config_is_judged_once_in_a_row(self, judged):
-        cfg = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
-        for _ in range(3):
-            assert validate(cfg) == [] and require_valid(cfg) is cfg
-            assert throughputs(cfg).p == head_fraction(cfg) == 0.75
-        assert len(judged) == 1
-        # an equal config is another object, and the memo holds one
-        twin = dataclasses.replace(cfg)
-        assert validate(twin) == [] and validate(cfg) == []
-        assert len(judged) == 3
-
-    @pytest.mark.parametrize("make", [_SubConfig, types.SimpleNamespace],
-                             ids=["subclass", "duck-typed"])
-    def test_other_objects_are_judged_on_every_call(self, judged, make):
-        cfg = make(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)
-        for _ in range(3):
-            assert validate(cfg) == [] and require_valid(cfg) is cfg
-        assert len(judged) == 6
-        object.__setattr__(cfg, "p_A", 0.7)  # the closure is now 1.1
-        assert len(validate(cfg)) == 1
-        with pytest.raises(InvalidConfigError):
-            require_valid(cfg)
-
-    def test_two_threads_get_every_verdict_right(self):
-        # one thread judges a valid config, the other an invalid one, with
-        # the interpreter switching between them as often as it can
+    def test_replace_judges_afresh(self):
         valid = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
-        invalid = NetworkConfig(1, 1, 0.7, 0.3, 0.1)
-        expected = {cfg: (_fresh_outcome(validate, cfg), _fresh_outcome(require_valid, cfg))
-                    for cfg in (valid, invalid)}
-        assert expected[valid][0] == [] and expected[invalid][0] != []
-        wrong = []
+        assert valid._plain
+        invalid = dataclasses.replace(valid, p_A=0.7)  # the closure is now 1.1
+        assert not invalid._plain
+        assert len(validate(invalid)) == 1
+        assert dataclasses.replace(invalid, p_A=0.6)._plain
 
-        def judge(cfg):
-            for _ in range(10_000):
-                if (_outcome(validate, cfg), _outcome(require_valid, cfg)) != expected[cfg]:
-                    wrong.append(cfg)
+    def test_verdict_is_not_a_field(self):
+        plain = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
+        twin = NetworkConfig(np.int64(1), 1, 0.6, 0.3, 0.1)
+        assert plain._plain and not twin._plain
+        fields = ["m", "n", "p_A", "p_F", "p_H"]
+        assert [field.name for field in dataclasses.fields(NetworkConfig)] == fields
+        assert list(dataclasses.asdict(plain)) == fields
+        assert dataclasses.astuple(plain) == (1, 1, 0.6, 0.3, 0.1)
+        assert repr(plain) == "NetworkConfig(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)"
+        assert plain == twin and hash(plain) == hash(twin)
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=judge, args=(cfg,)) for cfg in (valid, invalid)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
+    def test_subclass_is_judged_when_built(self):
+        valid = _SubConfig(1, 1, 0.6, 0.3, 0.1)
+        assert valid._plain
+        assert validate(valid) == [] and require_valid(valid) is valid
+        invalid = _SubConfig(1, 1, 0.7, 0.3, 0.1)
+        assert not invalid._plain
+        with pytest.raises(InvalidConfigError):
+            require_valid(invalid)
+
+    def test_duck_typed_config_comes_back_as_a_config(self):
+        duck = types.SimpleNamespace(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)
+        normal = require_valid(duck)
+        assert type(normal) is NetworkConfig and normal._plain
+        assert normal == NetworkConfig(1, 1, 0.6, 0.3, 0.1)
+        assert throughputs(duck) == throughputs(normal)
+        duck.p_A = 0.7  # judged on every call, so the change is seen
+        assert len(validate(duck)) == 1
 
 
 class TestNumberTypes:
@@ -565,39 +521,13 @@ class TestProperties:
     @example(NetworkConfig(0, 1, 0.5, 1e-300, 0.5))
     @example(NetworkConfig(1, 0, 0.5, 0.5, 5e-324))
     def test_plain_verdict_matches_reporting_path(self, cfg):
-        plain = _plain_and_valid(cfg)
+        plain = cfg._plain
         assert plain == (validate(cfg) == [])
         # the same floats through the rules as validate() reports them
         reported = validate(NetworkConfig(
             cfg.m, cfg.n, _NotPlain(cfg.p_A), _NotPlain(cfg.p_F), _NotPlain(cfg.p_H)
         ))
         assert plain == (reported == [])
-
-    @settings(max_examples=150)
-    @given(st.lists(valid_configs() | any_configs, min_size=1, max_size=4), st.data())
-    def test_memo_verdicts_match_a_fresh_process(self, plain, data):
-        # each config beside an equal copy and its _NotPlain and numpy twins,
-        # judged in any order, the same object often several times in a row
-        pool = []
-        for cfg in plain:
-            probs = (cfg.p_A, cfg.p_F, cfg.p_H)
-            pool += [
-                cfg,
-                dataclasses.replace(cfg),
-                NetworkConfig(cfg.m, cfg.n, *map(_NotPlain, probs)),
-                NetworkConfig(np.int64(cfg.m), np.int64(cfg.n), *map(np.float64, probs)),
-            ]
-        expected = {
-            (i, name): _fresh_outcome(call, cfg)
-            for i, cfg in enumerate(pool) for name, call in CALLS.items()
-        }
-        analytic._last_valid = None
-        order = data.draw(st.lists(
-            st.tuples(st.integers(0, len(pool) - 1), st.sampled_from(sorted(CALLS))),
-            min_size=1, max_size=40,
-        ))
-        for i, name in order:
-            assert _outcome(CALLS[name], pool[i]) == expected[i, name]
 
     @settings(max_examples=60)
     @given(st.integers(1, 50), st.integers(1, 50))

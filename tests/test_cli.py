@@ -8,6 +8,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ def render_like_plain(numpy_config, plain_config):
     """Each command's payload for a short run given in numpy scalars, parsed.
 
     Asserts that each renders byte-identically to the same run given in
-    plain numbers.
+    plain numbers.  ``numpy_config`` may also be any object with the five
+    config fields.
     """
     sim = {"slots": 2_000, "capacity": 4, "seed": 3}
     numpy_sim = {key: np.int64(value) for key, value in sim.items()}
@@ -112,6 +114,12 @@ class TestTheory:
         payload = render_like_plain(config, NetworkConfig(1, 1, 0.5, 0.25, 0.25))["theory"]
         assert payload["config"]["p_A"] == float(format(float(np.float32(0.5)), ".12g"))
         assert payload["theory"]["p"] == 0.75
+
+    def test_duck_typed_config_renders(self):
+        # judged and converted like a NetworkConfig, not handed on as it is
+        config = SimpleNamespace(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)
+        payload = render_like_plain(config, NetworkConfig(1, 1, 0.6, 0.3, 0.1))["theory"]
+        assert payload["config"] == {"m": 1, "n": 1, "p_A": 0.6, "p_F": 0.3, "p_H": 0.1}
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "theory.json"

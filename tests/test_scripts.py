@@ -80,11 +80,20 @@ def test_bad_arguments_exit_2(capsys, name, argv):
     assert ": error: " in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("flag", ["--slots", "--seeds"])
+def test_validate_presets_names_the_flag(capsys, flag):
+    # the error names the flag, not the library parameter it feeds
+    with pytest.raises(SystemExit):
+        script_main("validate_presets.py")([flag, "0"])
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.endswith(f": error: {flag[2:]} must be >= 1, got 0")
+
+
 # A change that moves seeded output on purpose updates these and says why.
 SEEDED_DIGEST = [
     "a120ff3be61956dd5675a1b3915729986c93c7b65d440eee845e52093f606502  run",
     "43791b1bce26672f406b062b6c3866e6919008f3b974e76854e64cdad8757aef  step",
-    "7c6819da0377454e22cbe729a80c10966ddfe1c04bbebd485e638044e0fcee86  cli",
+    "593b3796318a2502ec772b3f6197753536ed3436620c8320ee8fca62026a427d  cli",
 ]
 
 
