@@ -9,11 +9,13 @@ mutated module is the original parsed and unparsed with ``ast``, so it has
 no comments; the suite must first pass on every module unparsed unmutated.
 
 Each mutant runs the tier-1 suite with ``-x``, a fixed Hypothesis seed and
-a 150-s timeout, without criterion 6b, which fails by design, in a copy of the
-repository.  At most two pytest processes run at a time.  A mutant is
-killed when pytest fails or times out.  The report gives the kill count
-per module, then each survivor's ``file:line:column``, its source line and
-the change, except the survivors listed in ``EQUIVALENT``::
+a 150-s timeout, in a copy of the repository.  It leaves out criterion 6b,
+which fails by design, and the test of ``EQUIVALENT``'s keys, which reads
+the modules' source text that the copy holds unparsed.  At most two pytest
+processes run at a time.  A mutant is killed when pytest fails or times
+out.  The report gives the kill count per module, then each survivor's
+``file:line:column``, its source line and the change, except the survivors
+listed in ``EQUIVALENT``::
 
     python3 scripts/mutants.py                      # every module
     python3 scripts/mutants.py --module simulator   # one file
@@ -51,7 +53,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fdmix"
 JOBS = 2  # pytest processes at a time
 TIMEOUT = 150.0  # seconds per pytest run; a mutant that loops forever is killed by it
-CRITERION_6B = "tests/test_acceptance.py::test_criterion_06b_million_slots_fairness"
+DESELECTED = (
+    "tests/test_acceptance.py::test_criterion_06b_million_slots_fairness",
+    "tests/test_scripts.py::test_mutants_equivalent_keys_name_live_lines",
+)
 STOP = threading.Event()  # set by SIGTERM: no pytest starts after it
 RUNNING: set[subprocess.Popen] = set()  # the pytest processes now running
 
@@ -184,12 +189,12 @@ def _on_sigterm(signum, frame) -> None:
 
 
 def _pytest(copy: Path) -> str:
-    """``"survived"``, ``"killed"`` or ``"timeout"``: tier-1 without 6b in ``copy``;
-    ``"skipped"`` once SIGTERM has come."""
+    """``"survived"``, ``"killed"`` or ``"timeout"``: tier-1 without
+    ``DESELECTED`` in ``copy``; ``"skipped"`` once SIGTERM has come."""
     shutil.rmtree(copy / ".hypothesis", ignore_errors=True)
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           "--hypothesis-seed=0", "--deselect", CRITERION_6B]
+           "--hypothesis-seed=0", *(f"--deselect={test}" for test in DESELECTED)]
     with subprocess.Popen(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True) as proc:
         RUNNING.add(proc)

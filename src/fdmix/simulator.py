@@ -31,6 +31,7 @@ readable definition; :func:`run` plays a whole span of a ``new_sim`` state.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -181,7 +182,7 @@ def new_sim(
     total = config.m + config.n
     if capacity is None:
         capacity = default_capacity(config)
-    capacity = as_count("capacity", capacity, 1)
+    capacity = as_count("capacity", capacity, 1, sys.maxsize)  # a numpy array size must fit an index
     seed = as_count("seed", seed, 0)
     uniforms, destinations = _generators(seed)
     window = destinations.integers(0, total, capacity)

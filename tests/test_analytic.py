@@ -110,13 +110,6 @@ class TestFrozenValues:
         assert rep.fd_down == pytest.approx(1 / 3, abs=TOL)
         assert rep.sum == pytest.approx(2.0, abs=TOL)
 
-    @pytest.mark.parametrize("size,expected", [(1, 4 / 3), (2, 1.4), (4, 13 / 9)])
-    def test_uniform_contention_sums(self, size, expected):
-        assert throughputs(dca_config(size, size)).sum == pytest.approx(
-            expected, abs=TOL
-        )
-        assert dca_gain(size, size) == pytest.approx(expected, abs=TOL)
-
 
 class TestHeadFraction:
     def test_no_full_duplex_is_one(self):
@@ -144,88 +137,11 @@ class TestHeadFraction:
 class TestValidate:
     def test_valid_config_has_no_violations(self):
         assert validate(NetworkConfig(1, 1, 0.6, 0.3, 0.1)) == []
-
-    def test_no_stations(self):
-        assert validate(NetworkConfig(0, 0, 1.0, 0.0, 0.0)) != []
-
-    def test_negative_count(self):
-        assert any("m" in v for v in validate(NetworkConfig(-1, 2, 0.5, 0.0, 0.25)))
-
-    def test_non_integer_count(self):
-        assert validate(NetworkConfig(2.0, 1, 0.25, 0.25, 0.25)) != []
-
-    def test_probability_out_of_range(self):
-        assert validate(NetworkConfig(1, 1, 1.5, 0.3, 0.1)) != []
-        assert validate(NetworkConfig(1, 1, -0.1, 0.55, 0.55)) != []
-
-    def test_closure_violation(self):
-        bad = NetworkConfig(1, 1, 0.5, 0.2, 0.2)
-        assert any("1" in v for v in validate(bad))
-
-    def test_closure_tolerance_is_absolute(self):
-        eps = CLOSURE_TOL / 2
-        assert validate(NetworkConfig(1, 1, 0.5 + eps, 0.25, 0.25)) == []
-
-    def test_unused_class_probability_must_be_zero(self):
-        assert validate(NetworkConfig(0, 2, 0.5, 0.1, 0.25)) != []
-        assert validate(NetworkConfig(2, 0, 0.5, 0.25, 0.1)) != []
-
-    def test_string_probability_reported_not_raised(self):
-        assert validate(NetworkConfig(1, 1, "a", 0.3, 0.1)) == [
-            "p_A must be a number, got 'a'"
-        ]
-
-    def test_bool_probability_rejected(self):
-        assert validate(NetworkConfig(1, 1, True, 0.0, 0.0)) == [
-            "p_A must be a number, got True"
-        ]
+        # the largest count a float holds exactly
+        assert validate(NetworkConfig(2**53, 1, 0.5, 0.0, 0.5)) == []
 
     def test_integral_probability_accepted(self):
         assert validate(NetworkConfig(1, 0, 0, 1, 0)) == []
-
-    def test_huge_count_reported_not_raised(self):
-        # beyond 2**53 the closure would overflow a float
-        assert validate(NetworkConfig(10**400, 1, 0.5, 0.0, 0.5)) == [
-            f"m must be <= {2**53}, got {10**400}"
-        ]
-        assert validate(NetworkConfig(2**53, 1, 0.5, 0.0, 0.5)) == []
-        assert validate(NetworkConfig(1, 2**53 + 1, 0.5, 0.5, 0.0)) != []
-
-    def test_huge_probability_reported_not_raised(self):
-        assert validate(NetworkConfig(1, 1, 10**400, 0.3, 0.1)) == [
-            f"p_A must lie in [0, 1], got {10**400}"
-        ]
-
-    def test_integer_too_long_to_print_reported_not_raised(self):
-        # Python refuses to turn an int of more than 4300 digits into text,
-        # so the violation names its size instead
-        assert validate(NetworkConfig(-10**5000, 1, 0.5, 0.0, 0.5)) == [
-            "m must be >= 0, got a negative integer of 5001 digits"
-        ]
-        assert validate(NetworkConfig(1, 1, 10**5000, 0.3, 0.1)) == [
-            "p_A must lie in [0, 1], got an integer of 5001 digits"
-        ]
-        with pytest.raises(InvalidConfigError, match="an integer of 5001 digits"):
-            dca_config(10**5000, 1)
-
-    def test_bad_count_does_not_cascade(self):
-        # m is unusable, so the checks that need m (p_F, closure) are skipped
-        assert validate(NetworkConfig(True, 2, 0.25, 0.25, 0.25)) == [
-            "m must be an integer, got True"
-        ]
-
-    def test_violations_accumulate(self):
-        assert len(validate(NetworkConfig(-1, 0, 2.0, 0.0, 0.5))) >= 2
-
-    def test_require_valid_raises_with_details(self):
-        with pytest.raises(InvalidConfigError) as exc:
-            require_valid(NetworkConfig(0, 0, 1.0, 0.0, 0.0))
-        assert exc.value.violations
-        assert require_valid(dca_config(2, 2)) == dca_config(2, 2)
-
-    def test_throughputs_rejects_invalid(self):
-        with pytest.raises(InvalidConfigError):
-            throughputs(NetworkConfig(1, 1, 0.9, 0.9, 0.9))
 
     # Plain int and float configs that break a rule, plus the types the
     # plain-number path must hand to the reporting path.
@@ -256,6 +172,16 @@ class TestValidate:
          ["p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.000000037252903"]),
         ((1, 0, Fraction(1, 2), Fraction(1), 0),
          ["p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 1.5"]),
+        ((2.0, 1, 0.25, 0.25, 0.25), ["m must be an integer, got 2.0"]),
+        ((1, 1, 1.5, 0.3, 0.1), ["p_A must lie in [0, 1], got 1.5"]),
+        ((1, 1, -0.1, 0.55, 0.55), ["p_A must lie in [0, 1], got -0.1"]),
+        # m is unusable, so the checks that need m (p_F, closure) are skipped
+        ((True, 2, 0.25, 0.25, 0.25), ["m must be an integer, got True"]),
+        # Python refuses to turn an int of more than 4300 digits into text,
+        # so the violation names its size instead
+        ((-10**5000, 1, 0.5, 0.0, 0.5), ["m must be >= 0, got a negative integer of 5001 digits"]),
+        ((10**400, 1, 0.5, 0.0, 0.5), [f"m must be <= {2**53}, got {10**400}"]),
+        ((1, 1, 10**400, 0.3, 0.1), [f"p_A must lie in [0, 1], got {10**400}"]),
     ])
     def test_invalid_corpus_reports(self, values, violations):
         assert validate(NetworkConfig(*values)) == violations
@@ -386,6 +312,8 @@ class TestConstructors:
     def test_huge_counts_rejected(self, builder):
         with pytest.raises(InvalidConfigError, match="m must be <="):
             builder(10**400, 1)
+        with pytest.raises(InvalidConfigError, match="an integer of 5001 digits"):
+            builder(10**5000, 1)
 
     def test_numpy_integer_counts_are_coerced(self):
         cfg = dca_config(np.int64(2), 2)
@@ -528,8 +456,3 @@ class TestProperties:
             cfg.m, cfg.n, _NotPlain(cfg.p_A), _NotPlain(cfg.p_F), _NotPlain(cfg.p_H)
         ))
         assert plain == (reported == [])
-
-    @settings(max_examples=60)
-    @given(st.integers(1, 50), st.integers(1, 50))
-    def test_uniform_contention_saturates(self, m, n):
-        assert head_fraction(dca_config(m, n)) == 1.0

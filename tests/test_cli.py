@@ -82,15 +82,6 @@ class TestTheory:
         assert payload["theory"]["p"] == 1.0
         assert payload["theory"]["sum"] == 1.4
 
-    def test_explicit_flags(self, capsys):
-        payload = run_json(
-            capsys, "theory", "--m", "1", "--n", "1",
-            "--pA", "0.6", "--pF", "0.3", "--pH", "0.1",
-        )
-        assert payload["preset"] is None
-        assert payload["theory"]["p"] == 0.75
-        assert payload["theory"]["hd_down"] == 0.45
-
     def test_floats_rounded_to_12_significant_digits(self, capsys):
         payload = run_json(capsys, "theory", "--preset", "dca", "--m", "1", "--n", "3")
         assert payload["theory"]["hd_down"] == float("0.0666666666667")
@@ -326,16 +317,6 @@ class TestSimulate:
         # equal-contention pair: aggregate close to 4/3
         assert 1.30 <= payload["empirical"]["sum"] <= 1.37
 
-    def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
-        first, second = tmp_path / "a.json", tmp_path / "b.json"
-        for target in (first, second):
-            code, _, err = run_cli(
-                capsys, "simulate", "--preset", "dca", "--m", "2", "--n", "2",
-                "--slots", "50000", "--out", str(target),
-            )
-            assert code == 0, err
-        assert first.read_bytes() == second.read_bytes()
-
     def test_seed_changes_output(self, capsys):
         a = run_json(capsys, "simulate", "--preset", "dca", "--m", "2", "--n", "2",
                      "--slots", "20000", "--seed", "1")
@@ -430,22 +411,6 @@ class TestSweep:
         assert lines[42].startswith("fair,0,40,")
         assert out.endswith("\n")
         assert run_cli(capsys, "sweep") == (code, out, "")  # 40 stations by default
-
-    def test_bit_stable(self, capsys):
-        _, first, _ = run_cli(capsys, "sweep", "--total-stations", "17")
-        _, second, _ = run_cli(capsys, "sweep", "--total-stations", "17")
-        assert first == second
-
-    def test_values(self, capsys):
-        code, out, _ = run_cli(capsys, "sweep", "--total-stations", "4")
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        dca22 = next(r for r in rows if r[0] == "dca" and r[1] == "2")
-        cols = _CSV_COLUMNS.split(",")
-        assert dca22[cols.index("sum")] == "1.4"
-        assert dca22[cols.index("hd_down_total")] == "0.2"
-        fair40 = next(r for r in rows if r[0] == "fair" and r[1] == "4")
-        assert fair40[cols.index("p_A")] == "0"
-        assert fair40[cols.index("sum")] == "2"
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
@@ -547,6 +512,7 @@ class TestScenarioFiles:
         # integral probabilities are summed as floats
         ({"m": 1, "n": 0, "p_A": 1, "p_F": 1, "p_H": 0},
          "fdmix: error: p_A + m*p_F + n*p_H must equal 1 within 1e-09, got 2.0\n"),
+        ([1, 2], "scenario must be a JSON object"),
     ])
     def test_rejected_scenarios_exit_two(self, capsys, tmp_path, payload, fragment):
         path = self.write(tmp_path, payload)
@@ -573,12 +539,6 @@ class TestScenarioFiles:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("fdmix: error:")
-
-    def test_non_object_exits_two(self, capsys, tmp_path):
-        path = tmp_path / "list.json"
-        path.write_text("[1, 2]")
-        code, _, err = run_cli(capsys, "theory", "--scenario", str(path))
-        assert code == 2
 
 
 class TestFlagErrors:
@@ -607,12 +567,19 @@ class TestFlagErrors:
         assert code == 2
         assert "must equal 1" in err
 
-    def test_bad_sim_values_exit_two(self, capsys):
-        code, _, err = run_cli(
+    def test_unwritable_out_exits_two(self, capsys, tmp_path):
+        assert_one_error_line(*run_cli(
+            capsys, "theory", "--preset", "dca", "--m", "1", "--n", "1",
+            "--out", str(tmp_path / "missing" / "x.json"),
+        ))
+
+    def test_window_too_large_to_index_exits_two(self, capsys):
+        code, out, err = run_cli(
             capsys, "simulate", "--preset", "dca", "--m", "1", "--n", "1",
-            "--slots", "0",
+            "--slots", "10", "--capacity", str(sys.maxsize + 1),
         )
-        assert code == 2
+        assert_one_error_line(code, out, err)
+        assert "capacity must be <=" in err
 
     def test_out_of_memory_exits_two(self, capsys, monkeypatch):
         def exhausted(*args, **kwargs):

@@ -1,7 +1,8 @@
 """Smoke runs of the scripts: the two studies at tiny sizes, the digest, and
-the mutation audit's mutants, its ``--since`` filter and its stop on SIGTERM
-(the audit itself runs the suite, so it runs here only on a one-test suite
-of its own, or with its pytest faked).
+the mutation audit's mutants, its list of equivalent survivors, its
+``--since`` filter and its stop on SIGTERM (the audit itself runs the suite,
+so it runs here only on a one-test suite of its own, or with its pytest
+faked).
 
 The studies are checked for exit code and the shape of their output only:
 at these run lengths the verdict on the head composition depends on the
@@ -114,6 +115,17 @@ def test_mutants_change_one_site_each():
         (3, "< -> <=", ["    a -= 2.5", "    return not (a <= b and a * b)"]),
         (3, "* -> /", ["    a -= 2.5", "    return not (a < b and a / b)"]),
     ]
+
+
+def test_mutants_equivalent_keys_name_live_lines():
+    # an edited or deleted line leaves a key that no survivor can match
+    equivalent = runpy.run_path(str(SCRIPTS / "mutants.py"))["EQUIVALENT"]
+    package = SCRIPTS.parent / "src" / "fdmix"
+    lines = {}
+    for module in {module for module, _, _ in equivalent}:
+        source = (package / f"{module}.py").read_text(encoding="utf-8")
+        lines[module] = {line.strip() for line in source.splitlines()}
+    assert [key for key in sorted(equivalent) if key[1] not in lines[key[0]]] == []
 
 
 def test_mutants_since_mutates_only_changed_lines(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Slot simulator: determinism, step invariants, conservation, convergence."""
 
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -124,6 +125,9 @@ class TestConstruction:
     def test_rejects_bad_capacity_and_seed(self):
         with pytest.raises(ValueError):
             new_sim(DCA22, capacity=0)
+        # a window too large to index is refused by name, not by numpy
+        with pytest.raises(ValueError, match=f"capacity must be <= {sys.maxsize}"):
+            new_sim(DCA22, capacity=sys.maxsize + 1)
         with pytest.raises(ValueError):
             new_sim(DCA22, seed=-1)
         with pytest.raises(InvalidConfigError):
@@ -132,11 +136,6 @@ class TestConstruction:
     def test_rejects_bool_seed(self):
         with pytest.raises(ValueError, match="seed"):
             new_sim(DCA22, seed=True)
-
-    def test_same_seed_same_initial_window(self):
-        a = new_sim(DCA22, seed=7)
-        b = new_sim(DCA22, seed=7)
-        assert list(a.queue.entries) == list(b.queue.entries)
 
     def test_default_seed_is_zero(self):
         assert list(new_sim(DCA22).queue.entries) == list(new_sim(DCA22, seed=0).queue.entries)
@@ -156,31 +155,6 @@ def encode_dest(config, packet):
     if packet.dest_class == FD and 0 <= packet.dest_index < config.m:
         return config.n + packet.dest_index
     raise ValueError(f"no station {packet!r}")
-
-
-def decode_dest(config, code):
-    """Inverse of :func:`encode_dest`."""
-    if not 0 <= code < config.n + config.m:
-        raise ValueError(f"destination code {code} out of range")
-    return Packet(HD, code) if code < config.n else Packet(FD, code - config.n)
-
-
-class TestDestinationCodes:
-    def test_roundtrip(self):
-        cfg = NetworkConfig(2, 3, 0.4, 0.15, 0.1)
-        for code in range(5):
-            assert encode_dest(cfg, decode_dest(cfg, code)) == code
-        assert decode_dest(cfg, 0) == Packet(HD, 0)
-        assert decode_dest(cfg, 3) == Packet(FD, 0)
-
-    def test_out_of_range(self):
-        cfg = dca_config(1, 1)
-        with pytest.raises(ValueError):
-            decode_dest(cfg, 2)
-        with pytest.raises(ValueError):
-            encode_dest(cfg, Packet(HD, 1))
-        with pytest.raises(ValueError):
-            encode_dest(cfg, Packet("xx", 0))
 
 
 def _walk_checking_invariants(config, slots, seed, warmup=0, capacity=None):
@@ -367,32 +341,14 @@ class TestStepInvariants:
             state.winners = iter([code])
             assert step(state) == fresh
 
-    def test_same_seed_same_outcomes(self):
-        a, b = new_sim(MIXED, seed=4), new_sim(MIXED, seed=4)
-        assert [step(a) for _ in range(3_000)] == [step(b) for _ in range(3_000)]
-
-    def test_full_duplex_down_equals_up_per_station(self):
-        stats = run(MIXED, 30_000, warmup_slots=0, seed=5)
-        n = MIXED.n
-        assert stats.down_slots[n:] == stats.up_slots[n:]
-
 
 class TestRun:
-    def test_deterministic(self):
-        a = run(DCA22, 5_000, warmup_slots=100, seed=3)
-        b = run(DCA22, 5_000, warmup_slots=100, seed=3)
-        assert a == b
-
     @pytest.mark.parametrize("config,slots,warmup,capacity,seed", _ORACLE_CASES)
     def test_matches_manual_stepping(self, config, slots, warmup, capacity, seed):
-        # step() is the oracle: run() must give its counters draw for draw
+        # run()'s block cuts, warmup edge and compaction, against a per-slot
+        # step() walk of the same stream: equal counters draw for draw
         stats = run(config, slots, warmup_slots=warmup, capacity=capacity, seed=seed)
         assert stats == _walk(config, slots, warmup, capacity, seed)
-
-    def test_warmup_slots_not_counted(self):
-        stats = run(DCA22, 1_000, warmup_slots=777, seed=0)
-        assert stats.total_slots == 1_000
-        assert sum(stats.down_slots) <= 1_000
 
     def test_rejects_bad_spans(self):
         with pytest.raises(ValueError):
