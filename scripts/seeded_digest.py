@@ -67,6 +67,9 @@ COMMANDS = [
     ["validate", "--preset", "dca", "--m", "1", "--n", "1", "--slots", "100", "--z-max", "0"],
     ["simulate", "--m", "1", "--n", "1", "--pA", "0.9", "--pF", "0.9", "--pH", "0.9"],
     ["sweep", "--total-stations", "6"],
+    ["sweep", "--total-stations", "100"],  # the benchmark's largest CLI sweep
+    # a flow printed in exponent form
+    ["theory", "--m", "1", "--n", "1", "--pA", "0.99999", "--pF", "5e-06", "--pH", "5e-06"],
     # invalid configs: every broken rule named, in order, on stderr
     ["theory", "--m", "-1", "--n", "0", "--pA", "2", "--pF", "0", "--pH", "0.5"],
     ["theory", "--preset", "dca", "--m", "0", "--n", "0"],

@@ -94,7 +94,7 @@ def test_validate_presets_names_the_flag(capsys, flag):
 SEEDED_DIGEST = [
     "a120ff3be61956dd5675a1b3915729986c93c7b65d440eee845e52093f606502  run",
     "43791b1bce26672f406b062b6c3866e6919008f3b974e76854e64cdad8757aef  step",
-    "593b3796318a2502ec772b3f6197753536ed3436620c8320ee8fca62026a427d  cli",
+    "1b71a157f6a965caa30580ff4b39dc09821504822c266e46bfa450756763b33d  cli",
 ]
 
 
