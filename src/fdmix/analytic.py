@@ -81,7 +81,11 @@ def _show(value) -> str:
         return f"{sign} integer of {digits} digits"
 
 
-@dataclass(frozen=True)
+# The frozen instances' attribute store, bound once for their constructor.
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class NetworkConfig:
     """Station counts and per-slot access probabilities.
 
@@ -98,11 +102,17 @@ class NetworkConfig:
 
     # True when the counts are plain ``int``, the probabilities plain
     # ``float``, and every rule of :func:`validate` holds; judged once, when
-    # the config is built.  A class attribute, not a field.
+    # ``__init__`` builds the config.  A class attribute, not a field.
     _plain = False
 
-    def __post_init__(self):
-        m, n, p_A, p_F, p_H = self.m, self.n, self.p_A, self.p_F, self.p_H
+    def __init__(self, m: int, n: int, p_A: float, p_F: float, p_H: float):
+        # Written out, not generated: the generated frozen __init__ plus a
+        # __post_init__ that reads the fields back cost twice as much.
+        _setattr(self, "m", m)
+        _setattr(self, "n", n)
+        _setattr(self, "p_A", p_A)
+        _setattr(self, "p_F", p_F)
+        _setattr(self, "p_H", p_H)
         if (
             type(m) is int and type(n) is int
             and type(p_A) is float and type(p_F) is float and type(p_H) is float
@@ -111,7 +121,7 @@ class NetworkConfig:
             and (m != 0 or p_F == 0.0) and (n != 0 or p_H == 0.0)
             and abs(p_A + m * p_F + n * p_H - 1.0) <= CLOSURE_TOL
         ):
-            object.__setattr__(self, "_plain", True)
+            _setattr(self, "_plain", True)
 
 
 class ThroughputReport(NamedTuple):
@@ -213,7 +223,8 @@ def head_fraction(config: NetworkConfig) -> float:
     stations, 0 when there are no half-duplex stations, and 0 when the AP
     never transmits (the queue head is then never observed).
     """
-    config = require_valid(config)
+    if not getattr(config, "_plain", False):
+        config = require_valid(config)
     return _head_fraction(config.m, config.n, config.p_A, config.p_F)
 
 
@@ -239,14 +250,16 @@ def throughputs(config: NetworkConfig) -> ThroughputReport:
     ``fd_up`` are equal by construction: a full-duplex downlink is answered
     by an uplink in the same slot and vice versa.
     """
-    config = require_valid(config)
+    if not getattr(config, "_plain", False):
+        config = require_valid(config)
     m, n, p_A, p_F, p_H = config.m, config.n, config.p_A, config.p_F, config.p_H
     p = _head_fraction(m, n, p_A, p_F)
     hd_down = p_A * p / n if n > 0 else 0.0
     hd_up = p_H if n > 0 else 0.0
     fd = p_A * (1.0 - p) / m + p_F if m > 0 else 0.0
     total = 1.0 + m * p_F + p_A * (1.0 - p)
-    return ThroughputReport(p, hd_down, hd_up, fd, fd, total)
+    # tuple.__new__ runs in C; the report's generated __new__ is Python
+    return tuple.__new__(ThroughputReport, (p, hd_down, hd_up, fd, fd, total))
 
 
 def _station_counts(m, n) -> tuple[int, int]:

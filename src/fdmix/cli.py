@@ -45,6 +45,10 @@ _CSV_COLUMNS = ",".join((
     "preset", *_CONFIG_KEYS, *ThroughputReport._fields,
     "hd_down_total", "hd_up_total", "fd_down_total", "fd_up_total",
 ))
+# Every float in every output: 12 significant digits.
+_SIG = "%.12g"
+# One sweep row: the preset and the two counts, then a float per other column.
+_CSV_ROW = "%s,%d,%d" + ("," + _SIG) * (_CSV_COLUMNS.count(",") - 2)
 # sim field -> smallest accepted value
 _SIM_MINIMUM = {"slots": 1, "warmup": 0, "capacity": 1, "seed": 0}
 
@@ -62,7 +66,7 @@ class Scenario:
 
 
 def _sig(value: float) -> str:
-    return format(value, ".12g")
+    return _SIG % value
 
 
 def _round_floats(value):
@@ -249,11 +253,10 @@ def cmd_sweep(total_stations: int) -> str:
             n = total - m
             config = build(m, n)
             r = throughputs(config)
-            values = (
-                config.p_A, config.p_F, config.p_H, *r,
+            lines.append(_CSV_ROW % (
+                preset, m, n, config.p_A, config.p_F, config.p_H, *r,
                 n * r.hd_down, n * r.hd_up, m * r.fd_down, m * r.fd_up,
-            )
-            lines.append(",".join([preset, str(m), str(n), *map(_sig, values)]))
+            ))
     return "\n".join(lines) + "\n"
 
 
