@@ -1,7 +1,9 @@
 """Closed-form model: frozen values, edge conventions, structural properties."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import types
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from fdmix.analytic import (
     MAX_STATIONS,
     InvalidConfigError,
     NetworkConfig,
+    ThroughputReport,
     dca_config,
     fairness_config,
     head_fraction,
@@ -76,6 +79,11 @@ class _NotPlain(float):
 
 class _SubConfig(NetworkConfig):
     """A config whose type is not exactly ``NetworkConfig``."""
+
+
+@dataclasses.dataclass(frozen=True)
+class _DecoratedConfig(NetworkConfig):
+    """A subclass with its own generated ``__init__``, which does not judge."""
 
 
 class TestFrozenValues:
@@ -185,9 +193,10 @@ class TestValidate:
     ])
     def test_invalid_corpus_reports(self, values, violations):
         assert validate(NetworkConfig(*values)) == violations
-        with pytest.raises(InvalidConfigError) as exc:
-            throughputs(NetworkConfig(*values))
-        assert exc.value.violations == violations
+        for judged in (throughputs, head_fraction):
+            with pytest.raises(InvalidConfigError) as exc:
+                judged(NetworkConfig(*values))
+            assert exc.value.violations == violations
 
     def test_closure_edge_is_unchanged(self):
         # the last p_A that closes under the float sum p_A + m*p_F + n*p_H
@@ -199,6 +208,7 @@ class TestValidate:
 
 
 def assert_plain_floats(report):
+    assert type(report) is ThroughputReport
     for field in report._fields:
         assert type(getattr(report, field)) is float, field
 
@@ -222,7 +232,17 @@ class TestBuiltVerdict:
         assert not invalid._plain
         assert len(validate(invalid)) == 1
         assert dataclasses.replace(invalid, p_A=0.6)._plain
+        assert NetworkConfig(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)._plain
 
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda cfg: pickle.loads(pickle.dumps(cfg)),
+    ], ids=["copy", "deepcopy", "pickle"])
+    def test_verdict_survives_copies(self, clone):
+        # each of these rebuilds the instance without calling __init__
+        for cfg in (NetworkConfig(1, 1, 0.6, 0.3, 0.1), NetworkConfig(1, 1, 0.7, 0.3, 0.1)):
+            twin = clone(cfg)
+            assert twin is not cfg and twin == cfg
+            assert twin._plain == cfg._plain
     def test_verdict_is_not_a_field(self):
         plain = NetworkConfig(1, 1, 0.6, 0.3, 0.1)
         twin = NetworkConfig(np.int64(1), 1, 0.6, 0.3, 0.1)
@@ -242,6 +262,19 @@ class TestBuiltVerdict:
         assert not invalid._plain
         with pytest.raises(InvalidConfigError):
             require_valid(invalid)
+
+    def test_decorated_subclass_is_judged_on_every_call(self):
+        valid = _DecoratedConfig(1, 1, 0.6, 0.3, 0.1)
+        assert not valid._plain
+        assert validate(valid) == []
+        normal = require_valid(valid)
+        assert type(normal) is NetworkConfig and normal._plain
+        assert dataclasses.astuple(normal) == dataclasses.astuple(valid)
+        assert throughputs(valid) == throughputs(normal)
+        invalid = _DecoratedConfig(1, 1, 0.7, 0.3, 0.1)
+        assert len(validate(invalid)) == 1
+        with pytest.raises(InvalidConfigError):
+            throughputs(invalid)
 
     def test_duck_typed_config_comes_back_as_a_config(self):
         duck = types.SimpleNamespace(m=1, n=1, p_A=0.6, p_F=0.3, p_H=0.1)

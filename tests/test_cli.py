@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import fdmix
@@ -21,6 +21,7 @@ from fdmix.cli import (
     _CSV_COLUMNS,
     Scenario,
     _render_json,
+    _sig,
     build_parser,
     cmd_simulate,
     cmd_theory,
@@ -85,6 +86,16 @@ class TestTheory:
     def test_floats_rounded_to_12_significant_digits(self, capsys):
         payload = run_json(capsys, "theory", "--preset", "dca", "--m", "1", "--n", "3")
         assert payload["theory"]["hd_down"] == float("0.0666666666667")
+
+    # every float in every output, sweep rows included, takes this format
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    @example(5e-06)
+    @example(float("-inf"))
+    @example(float("nan"))
+    def test_sig_is_format_12g(self, value):
+        assert _sig(value) == format(value, ".12g")
 
     def test_huge_station_count_exits_two(self, capsys):
         code, out, err = run_cli(
