@@ -81,7 +81,7 @@ def _show(value) -> str:
         return f"{sign} integer of {digits} digits"
 
 
-# The frozen instances' attribute store, bound once for their constructor.
+# How NetworkConfig.__init__ writes its frozen fields; looked up once.
 _setattr = object.__setattr__
 
 
@@ -106,8 +106,8 @@ class NetworkConfig:
     _plain = False
 
     def __init__(self, m: int, n: int, p_A: float, p_F: float, p_H: float):
-        # Written out, not generated: the generated frozen __init__ plus a
-        # __post_init__ that reads the fields back cost twice as much.
+        # Written out, not generated, so that the verdict is judged from the
+        # arguments and no __post_init__ reads the fields back.
         _setattr(self, "m", m)
         _setattr(self, "n", n)
         _setattr(self, "p_A", p_A)
